@@ -2,7 +2,7 @@
 
 For each catalog test this benchmark builds the formula twice — once with
 the conflict-aware pruned order encoding (the default) and once with the
-dense fallback (``dense_order=True``) — and records both sizes (CNF
+dense reference (``dense_order=True``) — and records both sizes (CNF
 variables/clauses, order variables, statically resolved pairs, transitivity
 clauses) in the benchmark JSON under ``extra_info.order``.
 

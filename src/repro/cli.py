@@ -46,22 +46,10 @@ from repro.litmus.catalog import available_litmus_tests
 from repro.memorymodel.base import available_models, get_model
 
 
-def _dense_order(args) -> bool | None:
-    """The --dense-order flag as a CheckOptions value: True when given,
-    None otherwise so the CHECKFENCE_DENSE_ORDER fallback stays reachable."""
-    return True if args.dense_order else None
-
-
 def _simplify(args) -> bool | None:
     """The --no-simplify flag as a CheckOptions value: False when given,
     None otherwise so the CHECKFENCE_SIMPLIFY fallback stays reachable."""
     return False if args.no_simplify else None
-
-
-def _share_encode(args) -> bool | None:
-    """The --no-share-encode flag as a CheckOptions value: False when
-    given, None otherwise so CHECKFENCE_SHARE_ENCODE stays reachable."""
-    return False if getattr(args, "no_share_encode", False) else None
 
 
 def _store(args) -> bool | None:
@@ -127,9 +115,7 @@ def _cmd_check(args) -> int:
         lazy_loop_bounds=args.lazy_bounds,
         default_loop_bound=args.bound,
         solver_backend=args.solver,
-        dense_order=_dense_order(args),
         simplify=_simplify(args),
-        share_encode=_share_encode(args),
         store=_store(args),
         **_budget(args),
     )
@@ -161,9 +147,7 @@ def _cmd_sweep(args) -> int:
     options = CheckOptions(
         specification_method=args.spec_method,
         solver_backend=args.solver,
-        dense_order=_dense_order(args),
         simplify=_simplify(args),
-        share_encode=_share_encode(args),
         store=_store(args),
         **_budget(args),
     )
@@ -219,7 +203,6 @@ def _cmd_litmus(args) -> int:
         jobs=args.jobs,
         options=CheckOptions(
             solver_backend=args.solver,
-            dense_order=_dense_order(args),
             simplify=_simplify(args),
             **_budget(args),
         ),
@@ -260,9 +243,7 @@ def _cmd_matrix(args) -> int:
     options = CheckOptions(
         specification_method=args.spec_method,
         solver_backend=args.solver,
-        dense_order=_dense_order(args),
         simplify=_simplify(args),
-        share_encode=_share_encode(args),
         store=_store(args),
         **_budget(args),
     )
@@ -360,8 +341,7 @@ def _cmd_oracle(args) -> int:
         name = args.spec
     report = differential_check(
         compiled, model, backend_spec=args.solver, name=name,
-        dense_order=_dense_order(args), simplify=_simplify(args),
-        engines=engines,
+        simplify=_simplify(args), engines=engines,
     )
     labels = compiled.observation_labels()
     print(f"{name} @ {model.name}: observation slots "
@@ -440,7 +420,6 @@ def _cmd_synthesize(args) -> int:
             program,
             models,
             backend_factory=make_backend_factory(args.solver),
-            dense_order=_dense_order(args),
             simplify=_simplify(args),
             exact=not args.no_exact,
             exact_budget=args.budget,
@@ -452,9 +431,7 @@ def _cmd_synthesize(args) -> int:
         test = get_test(category, args.test)
         options = CheckOptions(
             solver_backend=args.solver,
-            dense_order=_dense_order(args),
             simplify=_simplify(args),
-            share_encode=_share_encode(args),
             store=_store(args),
             **_budget(args),
             synthesis_exact=not args.no_exact,
@@ -534,9 +511,7 @@ def _cmd_fuzz(args) -> int:
             shard_by=args.shard_by,
             options=CheckOptions(
                 solver_backend=args.solver,
-                dense_order=_dense_order(args),
                 simplify=_simplify(args),
-                share_encode=_share_encode(args),
                 store=_store(args),
                 **_budget(args),
             ),
@@ -617,25 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
         "ipasir:cli, or ipasir:<path-to-shared-library> "
         "(default: CHECKFENCE_SOLVER or auto)"
     )
-    dense_help = (
-        "use the dense memory-order construction (every access pair gets an "
-        "order variable, full O(n^3) transitivity) instead of the pruned "
-        "conflict-aware one; same verdicts, bigger formulas — the "
-        "differential baseline (default: CHECKFENCE_DENSE_ORDER or pruned)"
-    )
     simplify_help = (
         "disable the in-process CNF preprocessor (unit propagation, "
         "equivalent literals, subsumption, bounded variable elimination) "
         "that runs between lowering and solving; same verdicts, bigger "
         "formulas — the differential baseline "
         "(default: CHECKFENCE_SIMPLIFY or on)"
-    )
-
-    share_help = (
-        "rebuild the full encoding from scratch for every memory model "
-        "instead of reusing the memoized model-independent skeleton; same "
-        "formulas, slower sweeps — the differential baseline "
-        "(default: CHECKFENCE_SHARE_ENCODE or shared)"
     )
     store_help = (
         "consult and populate the persistent on-disk result store "
@@ -647,13 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
         "never touch the persistent store, overriding CHECKFENCE_STORE=1"
     )
 
-    def add_dense_flag(sub_parser):
-        sub_parser.add_argument("--dense-order", action="store_true",
-                                help=dense_help)
+    def add_check_flags(sub_parser):
         sub_parser.add_argument("--no-simplify", action="store_true",
                                 help=simplify_help)
-        sub_parser.add_argument("--no-share-encode", action="store_true",
-                                help=share_help)
         sub_parser.add_argument("--store", action="store_true",
                                 help=store_help)
         sub_parser.add_argument("--no-store", action="store_true",
@@ -692,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--no-range-analysis", action="store_true",
                               help="disable the range analysis (Fig. 11c)")
     check_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(check_parser)
+    add_check_flags(check_parser)
 
     sweep_parser = sub.add_parser(
         "sweep",
@@ -714,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=["auto", "reference", "sat"],
                               help="specification mining method (default: auto)")
     sweep_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(sweep_parser)
+    add_check_flags(sweep_parser)
 
     spec_parser = sub.add_parser(
         "spec",
@@ -752,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     litmus_parser.add_argument("--solver", default=None, help=solver_help)
     litmus_parser.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    add_dense_flag(litmus_parser)
+    add_check_flags(litmus_parser)
 
     matrix_parser = sub.add_parser(
         "matrix",
@@ -796,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=["auto", "reference", "sat"],
                                help="specification mining method (default: auto)")
     matrix_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(matrix_parser)
+    add_check_flags(matrix_parser)
     matrix_parser.add_argument(
         "--json", default=None, metavar="FILE",
         help="write the matrix (cells, verdicts, per-shard cache stats) as "
@@ -837,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="memory model (default: relaxed)")
     oracle_parser.add_argument("--engines", default=None, help=engines_help)
     oracle_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(oracle_parser)
+    add_check_flags(oracle_parser)
 
     synth_parser = sub.add_parser(
         "synthesize",
@@ -882,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator seed for --fuzz-budget (default: 1)",
     )
     synth_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(synth_parser)
+    add_check_flags(synth_parser)
     synth_parser.add_argument(
         "--json", default=None, metavar="FILE",
         help="write the result (fences, cost, verification, search stats) "
@@ -919,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         "all models (default: test)",
     )
     fuzz_parser.add_argument("--solver", default=None, help=solver_help)
-    add_dense_flag(fuzz_parser)
+    add_check_flags(fuzz_parser)
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="report divergences without minimizing them")
     fuzz_parser.add_argument(

@@ -29,12 +29,11 @@ test suite use to exercise the failure paths deterministically:
     database file were unreadable; the store must degrade to misses,
     never crash a check.
 
-The legacy hooks ``CHECKFENCE_MATRIX_CRASH`` / ``CHECKFENCE_MATRIX_INTERRUPT``
-(comma-separated cell keys) are folded into the parsed set as
-``worker-crash:<key>:<huge>`` / ``interrupt:<key>`` so existing callers
-keep their always-crash semantics.
+To make a cell crash on every attempt (so it exhausts the retries and is
+quarantined as ``CRASHED``), give ``worker-crash`` a count above the
+attempt cap, e.g. ``worker-crash:<cell-key>:99``.
 
-Parsing is memoised on the raw environment strings: call sites poll
+Parsing is memoised on the raw environment string: call sites poll
 helpers like :func:`crash_attempts` freely without re-splitting on every
 shard.
 """
@@ -46,11 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 FAULT_ENV = "CHECKFENCE_FAULT"
-LEGACY_CRASH_ENV = "CHECKFENCE_MATRIX_CRASH"
-LEGACY_INTERRUPT_ENV = "CHECKFENCE_MATRIX_INTERRUPT"
-
-#: Attempt bound used for the legacy always-crash hooks.
-_ALWAYS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def parse_faults(value: str) -> tuple[Fault, ...]:
     return tuple(faults)
 
 
-_cache_key: Optional[tuple[str, str, str]] = None
+_cache_key: Optional[str] = None
 _cache_value: tuple[Fault, ...] = ()
 
 
@@ -109,19 +103,8 @@ def active_faults() -> tuple[Fault, ...]:
     """The faults currently requested by the environment."""
     global _cache_key, _cache_value
     raw = os.environ.get(FAULT_ENV, "")
-    legacy_crash = os.environ.get(LEGACY_CRASH_ENV, "")
-    legacy_interrupt = os.environ.get(LEGACY_INTERRUPT_ENV, "")
-    key = (raw, legacy_crash, legacy_interrupt)
-    if key == _cache_key:
-        return _cache_value
-    faults = list(parse_faults(raw))
-    for cell_key in legacy_crash.split(","):
-        if cell_key:
-            faults.append(Fault("worker-crash", cell_key, _ALWAYS))
-    for cell_key in legacy_interrupt.split(","):
-        if cell_key:
-            faults.append(Fault("interrupt", cell_key))
-    _cache_key, _cache_value = key, tuple(faults)
+    if raw != _cache_key:
+        _cache_key, _cache_value = raw, parse_faults(raw)
     return _cache_value
 
 

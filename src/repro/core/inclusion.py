@@ -37,7 +37,6 @@ def run_inclusion_check(
     specification: ObservationSet,
     encoded: EncodedTest | None = None,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> InclusionOutcome:
     """Check ``obs(E_{T,I,Y}) ⊆ S``; returns a counterexample if it fails.
@@ -54,7 +53,7 @@ def run_inclusion_check(
     if encoded is None:
         encoded = encode_test(
             compiled, model, backend_factory=backend_factory,
-            dense_order=dense_order, simplify=simplify,
+            simplify=simplify,
         )
     encoded.require_not_in(specification.observations)
     start = time.perf_counter()
@@ -72,14 +71,13 @@ def run_assertion_check(
     labels: list[str],
     encoded: EncodedTest | None = None,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> InclusionOutcome:
     """Search for an execution that violates an ``assert`` statement."""
     if encoded is None:
         encoded = encode_test(
             compiled, model, backend_factory=backend_factory,
-            dense_order=dense_order, simplify=simplify,
+            simplify=simplify,
         )
     if not encoded.assertions:
         return InclusionOutcome(True, None, 0.0, encoded)

@@ -41,7 +41,6 @@ def refine_loop_bounds(
     program: Program | None = None,
     use_range_analysis: bool = True,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> LoopBoundResult:
     """Find loop bounds sufficient for all executions of ``test``."""
@@ -62,8 +61,7 @@ def refine_loop_bounds(
             program=program,
         )
         encoded = encode_test(
-            compiled, model, backend_factory=backend_factory,
-            dense_order=dense_order, simplify=simplify,
+            compiled, model, backend_factory=backend_factory, simplify=simplify,
         )
         if not encoded.overflow_handles:
             converged = True

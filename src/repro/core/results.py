@@ -30,7 +30,8 @@ class CheckStatistics:
     dense_order: bool = False
     observation_set_size: int = 0
     #: Per-phase wall-clock breakdown of one check.  ``compile_seconds``
-    #: and ``mining_seconds`` are near-zero on session-cache hits;
+    #: is near-zero on session-cache hits and ``mining_seconds`` is zero
+    #: unless this check mined the specification itself;
     #: ``encode_seconds`` splits into the model-independent skeleton build
     #: (zero when a memoized skeleton was reused — ``skeleton_shared``)
     #: and the per-model layer; CNF preprocessing time is the separate

@@ -35,8 +35,7 @@ from repro.core.loop_bounds import refine_loop_bounds
 from repro.core.results import CheckResult, CheckStatistics, profile_enabled
 from repro.core.specification import ObservationSet, mine_specification
 from repro.datatypes.spec import DataTypeImplementation
-from repro.encoding.formula import EncodedTest, encode_test, share_encode_enabled
-from repro.encoding.memory import dense_order_enabled
+from repro.encoding.formula import EncodedTest, encode_test
 from repro.sat.simplify import simplify_enabled
 from repro.encoding.testprogram import CompiledTest, compile_test
 from repro.lang.lower import compile_c
@@ -63,15 +62,10 @@ class CheckSession:
             implementation.source, implementation.name
         )
         self.backend_factory = make_backend_factory(self.options.solver_backend)
-        #: Memory-order construction, resolved once (option wins, then the
-        #: CHECKFENCE_DENSE_ORDER environment variable) so every encoding
-        #: and cache key of this session agrees.
-        self.dense_order = dense_order_enabled(self.options.dense_order)
         #: CNF preprocessing, resolved once (option wins, then the
-        #: CHECKFENCE_SIMPLIFY environment variable) for the same reason.
+        #: CHECKFENCE_SIMPLIFY environment variable) so every encoding and
+        #: cache key of this session agrees.
         self.simplify = simplify_enabled(self.options.simplify)
-        #: Encoding-skeleton reuse, resolved once like the knobs above.
-        self.share_encode = share_encode_enabled(self.options.share_encode)
         #: Persistent on-disk store (None when disabled — the default).
         self.store = result_store.open_store(self.options.store)
         self._compiled: dict[tuple, CompiledTest] = {}
@@ -102,13 +96,13 @@ class CheckSession:
     def _options_fingerprint(self) -> list:
         """The option values a verdict (or mined specification) depends on.
 
-        The solver backend and the encode-sharing knob are deliberately
-        excluded: both are verdict-preserving by construction and gated so
-        differentially in CI, and keying on them would make a store
-        populated under one backend useless under another.  The resource
-        budgets (``timeout`` / ``memory_limit_mb``) are excluded too: a
-        completed verdict does not depend on the budget it ran under, and
-        degraded results are never stored in the first place.
+        The solver backend is deliberately excluded: it is
+        verdict-preserving and gated so differentially in CI, and keying on
+        it would make a store populated under one backend useless under
+        another.  The resource budgets (``timeout`` / ``memory_limit_mb``)
+        are excluded too: a completed verdict does not depend on the budget
+        it ran under, and degraded results are never stored in the first
+        place.
         """
         options = self.options
         return [
@@ -118,7 +112,6 @@ class CheckSession:
             options.lazy_loop_bounds,
             options.use_range_analysis,
             options.check_assertions,
-            self.dense_order,
             self.simplify,
         ]
 
@@ -166,7 +159,6 @@ class CheckSession:
                 program=self.program,
                 use_range_analysis=self.options.use_range_analysis,
                 backend_factory=self.backend_factory,
-                dense_order=self.dense_order,
                 simplify=self.simplify,
             )
             merged = dict(refined.bounds)
@@ -222,7 +214,6 @@ class CheckSession:
             compiled,
             self.options.specification_method,
             backend_factory=self.backend_factory,
-            dense_order=self.dense_order,
             simplify=self.simplify,
         )
         self._specifications[key] = spec
@@ -247,22 +238,16 @@ class CheckSession:
             compiled,
             model,
             backend_factory=self.backend_factory,
-            dense_order=self.dense_order,
             simplify=self.simplify,
-            share_encode=self.share_encode,
         )
         self._encoded[key] = encoded
         return encoded
 
     def _encoded_key(self, test: SymbolicTest, model: MemoryModel) -> tuple:
-        """Cache key of an encoded formula: the order construction, the
-        simplification knob, and the encode-sharing knob are part of the
-        key, so encodings built under different settings never alias even
-        if the environment flips mid-session."""
-        return (
-            self._test_key(test), model.name, self.dense_order, self.simplify,
-            self.share_encode,
-        )
+        """Cache key of an encoded formula: the simplification knob is part
+        of the key, so encodings built under different settings never alias
+        even if the environment flips mid-session."""
+        return (self._test_key(test), model.name, self.simplify)
 
     # ---------------------------------------------------------------- check
 
@@ -304,7 +289,7 @@ class CheckSession:
             except limits.LimitExceeded as exc:
                 # The encoding (and its backend, possibly a killed external
                 # process) is contaminated mid-query; evict so a retry
-                # rebuilds from scratch.
+                # re-encodes it.
                 self._encoded.pop(self._encoded_key(test, model), None)
                 result = self._degraded_result(test, model, exc, total_start)
         if store_key is not None and not result.degraded:
@@ -346,6 +331,7 @@ class CheckSession:
         compiled = self.compile(test, model)
         compile_seconds = time.perf_counter() - total_start
         limits.check_deadline()
+        mined_before = self.cache_stats["mine"]
         specification = self.specification(test, compiled=compiled)
         limits.check_deadline()
         encoded = self.encoded(test, model)
@@ -360,7 +346,10 @@ class CheckSession:
         stats.merge_encoding(encoded.stats)
         stats.simplify = self.simplify
         stats.observation_set_size = len(specification)
-        stats.mining_seconds = specification.mining_seconds
+        # Charge the mining time only to the check that mined: a spec from
+        # the session cache or the store cost this check nothing.
+        if self.cache_stats["mine"] > mined_before:
+            stats.mining_seconds = specification.mining_seconds
         solver_before = (
             encoded.solver_stats.copy()
             if encoded.solver_stats is not None

@@ -66,13 +66,11 @@ class SatSpecificationMiner:
         compiled: CompiledTest,
         max_observations: int = 100_000,
         backend_factory: BackendFactory | None = None,
-        dense_order: bool | None = None,
         simplify: bool | None = None,
     ):
         self.compiled = compiled
         self.max_observations = max_observations
         self.backend_factory = backend_factory
-        self.dense_order = dense_order
         self.simplify = simplify
 
     def mine(self) -> ObservationSet:
@@ -81,7 +79,7 @@ class SatSpecificationMiner:
         # learned clauses survive across the repeated solve() calls.
         encoded: EncodedTest = encode_test(
             self.compiled, SERIAL, backend_factory=self.backend_factory,
-            dense_order=self.dense_order, simplify=self.simplify,
+            simplify=self.simplify,
         )
         spec = ObservationSet(
             labels=self.compiled.observation_labels(), method="sat"
@@ -292,7 +290,6 @@ def mine_specification(
     compiled: CompiledTest,
     method: str = "auto",
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> ObservationSet:
     """Mine the observation set with the requested method.
@@ -308,7 +305,6 @@ def mine_specification(
         return ReferenceSpecificationMiner(compiled).mine()
     if method == "sat":
         return SatSpecificationMiner(
-            compiled, backend_factory=backend_factory, dense_order=dense_order,
-            simplify=simplify,
+            compiled, backend_factory=backend_factory, simplify=simplify,
         ).mine()
     raise ValueError(f"unknown specification mining method {method!r}")

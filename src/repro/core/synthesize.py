@@ -633,7 +633,6 @@ def synthesize_fences(
             compiled,
             model,
             backend_factory=session.backend_factory,
-            dense_order=session.dense_order,
             simplify=session.simplify,
         )
         encoded.expect_enumeration()  # many solves on one formula
@@ -758,14 +757,13 @@ def synthesize_fences(
 
 
 def _mine_outcomes(
-    compiled, model, backend_factory, dense_order, simplify
+    compiled, model, backend_factory, simplify
 ) -> set[tuple[int, ...]]:
     """All reachable observation vectors, by the solve/block loop."""
     encoded = encode_test(
         compiled,
         model,
         backend_factory=backend_factory,
-        dense_order=dense_order,
         simplify=simplify,
     )
     encoded.expect_enumeration()
@@ -811,7 +809,6 @@ def synthesize_litmus(
     models,
     kinds=None,
     backend_factory=None,
-    dense_order=None,
     simplify=None,
     exact: bool = True,
     exact_budget: int = 60,
@@ -830,7 +827,7 @@ def synthesize_litmus(
     )
     sc_outcomes = _mine_outcomes(
         program.compile(), get_model("sc"),
-        backend_factory, dense_order, simplify,
+        backend_factory, simplify,
     )
     candidates = litmus_candidates(program, kinds)
     compiled = program.compile(candidate_kinds=kinds)
@@ -843,7 +840,6 @@ def synthesize_litmus(
             compiled,
             model,
             backend_factory=backend_factory,
-            dense_order=dense_order,
             simplify=simplify,
         )
         encoded.expect_enumeration()
@@ -928,7 +924,7 @@ def synthesize_litmus(
     fenced = program.with_fences(placements_of(fences))
     verified_sufficient = all(
         _mine_outcomes(
-            fenced.compile(), model, backend_factory, dense_order, simplify
+            fenced.compile(), model, backend_factory, simplify
         ) <= sc_outcomes
         for model in models
     )
@@ -978,7 +974,6 @@ def _verify_concrete(session, test, models, fences, specification) -> bool:
             compiled,
             model,
             backend_factory=session.backend_factory,
-            dense_order=session.dense_order,
             simplify=session.simplify,
         )
         if options.check_assertions:

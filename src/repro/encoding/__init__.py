@@ -22,7 +22,6 @@ from repro.encoding.formula import (
     ObservationSlot,
     build_skeleton,
     encode_test,
-    share_encode_enabled,
     skeleton_for,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "ObservationSlot",
     "build_skeleton",
     "encode_test",
-    "share_encode_enabled",
     "skeleton_for",
 ]

@@ -17,23 +17,18 @@ the compiled test itself.  Each per-model encode then *forks* the skeleton
 (an array-level CNF snapshot plus shallow circuit/dict copies) and runs
 only ``Theta`` — the :class:`repro.encoding.memory.MemoryModelEncoder`
 layer — on top.  A five-model sweep therefore executes symbolic execution
-and base lowering once instead of five times.  ``CHECKFENCE_SHARE_ENCODE=0``
-(or ``share_encode=False``) restores scratch encoding; both paths run the
-identical construction sequence, so they produce identical formulas.
+and base lowering once instead of five times.  There is one encode path:
+every call forks the memoized skeleton, so the formula for a model does
+not depend on which models were encoded before it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from dataclasses import dataclass, field
 
-from repro.encoding.memory import (
-    MemoryModelEncoder,
-    MemoryOrderEncoding,
-    dense_order_enabled,
-)
+from repro.encoding.memory import MemoryModelEncoder, MemoryOrderEncoding
 from repro.encoding.symbolic import (
     EncodingError,
     MemoryAccess,
@@ -84,10 +79,10 @@ class EncodingContext:
         self._init_terms: dict[int, int] = {}
         #: Memoized model-independent enumerations (sorted access lists,
         #: same-thread pairs, fence pairs, atomic-exclusion triples, value
-        #: candidates).  Forks share the dict *by reference*: whichever
-        #: per-model layer runs first fills it and the other four models of
-        #: a sweep reuse it, while scratch encoding (a fresh context per
-        #: model) recomputes it five times.
+        #: candidates).  Forks share the dict *by reference* so the models
+        #: of a sweep could reuse them, but ``MemoryModelEncoder`` only
+        #: adopts a non-empty dict and nothing fills this one, so each layer
+        #: computes its own.
         self.shared_streams: dict = {}
 
     # -------------------------------------------------------------- snapshot
@@ -277,7 +272,7 @@ class EncodingStatistics:
     order relation: how many access pairs exist, how many were statically
     resolved (constant-folded, no variable), how many got a SAT variable,
     and how many transitivity clauses were asserted.  ``dense_order`` marks
-    whether the dense fallback construction was used.
+    whether the dense reference construction was used.
     """
 
     instructions: int = 0
@@ -690,15 +685,6 @@ class EncodedTest:
         ]
 
 
-def share_encode_enabled(flag: bool | None = None) -> bool:
-    """Resolve the encode-sharing knob: an explicit flag wins, otherwise the
-    ``CHECKFENCE_SHARE_ENCODE`` environment variable (default: enabled;
-    like every repo env flag, only the literal ``"0"`` disables it)."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("CHECKFENCE_SHARE_ENCODE", "1") != "0"
-
-
 @dataclass
 class EncodingSkeleton:
     """The model-independent half of ``Phi`` for one compiled test.
@@ -1020,40 +1006,33 @@ def encode_test(
     compiled: CompiledTest,
     model: MemoryModel,
     backend_factory: BackendFactory | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
-    share_encode: bool | None = None,
+    dense_order: bool = False,
 ) -> EncodedTest:
     """Build the formula ``Phi`` for a compiled test under a memory model.
 
-    ``dense_order`` selects the memory-order construction: ``False`` (the
-    default) uses the conflict-aware pruned encoding, ``True`` the original
-    dense one; ``None`` defers to ``CHECKFENCE_DENSE_ORDER``.
+    Every call forks the memoized model-independent skeleton of the
+    compiled test and runs only the per-model layer on the fork.
 
     ``simplify`` runs the in-process CNF preprocessor between lowering and
     solving (``True`` by default); ``None`` defers to
     ``CHECKFENCE_SIMPLIFY`` (``0`` disables).
 
-    ``share_encode`` reuses the memoized model-independent skeleton of the
-    compiled test and runs only the per-model layer on a fork of it
-    (``True`` by default); ``None`` defers to ``CHECKFENCE_SHARE_ENCODE``
-    (``0`` disables).  Both paths run the identical construction sequence,
-    so shared and scratch encodes produce the same formula.
+    ``dense_order=True`` builds the memory order with the dense O(n^3)
+    reference construction instead of the pruned one.  It exists for the
+    differential tests and the encoding-size benchmark, which prove both
+    constructions give the same outcome sets; no product path sets it.
     """
-    dense = dense_order_enabled(dense_order)
     simplify_flag = simplify_enabled(simplify)
-    if share_encode_enabled(share_encode):
-        skeleton, reused = skeleton_for(compiled)
-        layer_start = time.perf_counter()
-        # Fork even a freshly built skeleton: it must stay pristine for the
-        # next model (and the next check after an inclusion query).
-        context = skeleton.context.fork()
-    else:
-        skeleton, reused = build_skeleton(compiled), False
-        layer_start = time.perf_counter()
-        context = skeleton.context  # consumed in place; never reused
+    skeleton, reused = skeleton_for(compiled)
+    layer_start = time.perf_counter()
+    # Fork even a freshly built skeleton: it must stay pristine for the
+    # next model (and the next check after an inclusion query).
+    context = skeleton.context.fork()
 
-    encoder = MemoryModelEncoder(context, model, skeleton.threads, dense=dense)
+    encoder = MemoryModelEncoder(
+        context, model, skeleton.threads, dense=dense_order
+    )
     order = encoder.encode()
 
     stats = EncodingStatistics()
@@ -1068,7 +1047,7 @@ def encode_test(
     stats.order_vars = encoder.order_var_count
     stats.order_pairs_static = encoder.static_pair_count
     stats.transitivity_clauses = encoder.transitivity_clause_count
-    stats.dense_order = dense
+    stats.dense_order = dense_order
     stats.skeleton_shared = reused
     stats.skeleton_seconds = 0.0 if reused else skeleton.build_seconds
     stats.layer_seconds = time.perf_counter() - layer_start

@@ -34,17 +34,17 @@ variable at all; counterexample decoding topologically sorts the remaining
 partial order (:meth:`repro.encoding.formula.EncodedTest
 .decode_memory_order`).
 
-**Dense (fallback).**  The original construction — one variable for every
-pair and the full O(n^3) transitivity axiom — is kept behind
-``CheckOptions.dense_order`` / ``CHECKFENCE_DENSE_ORDER=1`` so differential
-harnesses (tests, ``benchmarks/bench_encoding_size.py``, the fuzz CI smoke)
-can prove the pruned construction produces identical outcome sets.
+**Dense (reference).**  The original construction — one variable for every
+pair and the full O(n^3) transitivity axiom — is kept as
+``MemoryModelEncoder(dense=True)``, reached only through
+``encode_test(..., dense_order=True)``.  No product path builds it: the
+differential tests and ``benchmarks/bench_encoding_size.py`` use it to prove
+the pruned construction produces identical outcome sets.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -52,15 +52,6 @@ from repro.encoding.symbolic import MemoryAccess, ThreadEncoding
 from repro.encoding.testprogram import INIT_THREAD
 from repro.memorymodel.base import MemoryModel
 from repro.sat.circuit import Circuit
-
-
-def dense_order_enabled(flag: bool | None = None) -> bool:
-    """Resolve the dense-order knob: an explicit flag wins, otherwise the
-    ``CHECKFENCE_DENSE_ORDER`` environment variable (default: pruned).
-    Like every repo env flag, only the literal ``"1"`` enables it."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("CHECKFENCE_DENSE_ORDER", "0") == "1"
 
 
 @dataclass
@@ -125,10 +116,10 @@ class MemoryModelEncoder:
         self.model = model
         self.threads = threads
         self.dense = dense
-        # Model-independent enumerations are memoized on the context's
-        # shared-streams dict: in a shared-skeleton sweep the first model
-        # computes them and the rest reuse them, while scratch encoding
-        # recomputes them per model.
+        # Model-independent enumerations are memoized in ``_streams``.  The
+        # context's ``shared_streams`` dict is empty when a layer starts and
+        # an empty dict is falsy, so each layer gets a private dict and
+        # recomputes them; nothing is shared across the models of a sweep.
         self._streams: dict = getattr(context, "shared_streams", None) or {}
         base = self._streams.get("base")
         if base is None:

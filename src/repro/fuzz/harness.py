@@ -99,7 +99,6 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
     report = differential_check(
         compiled, cell.model, backend_spec=options.solver_backend,
         name=cell.test,
-        dense_order=getattr(options, "dense_order", None),
         simplify=getattr(options, "simplify", None),
         engines=cell_engines(cell),
     )
@@ -138,7 +137,6 @@ def shrink_divergence(
     model: str,
     backend_spec: str | None = None,
     max_rounds: int = 100,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
     engines=None,
 ) -> tuple[FuzzProgram, DifferentialReport]:
@@ -149,8 +147,7 @@ def shrink_divergence(
     def report_for(candidate: FuzzProgram) -> DifferentialReport:
         return differential_check(
             candidate.compile(), model, backend_spec=backend_spec,
-            name=candidate.spec(), dense_order=dense_order,
-            simplify=simplify, engines=engines,
+            name=candidate.spec(), simplify=simplify, engines=engines,
         )
 
     current = report_for(program)
@@ -413,13 +410,11 @@ def run_fuzz(
         # Re-confirm in-process (the worker only shipped a description)
         # and shrink to a minimal reproducer.
         program = FuzzProgram.parse(cell_result.cell.test)
-        dense_order = getattr(options, "dense_order", None)
         simplify = getattr(options, "simplify", None)
         if shrink:
             program, report = shrink_divergence(
                 program, cell_result.cell.model,
                 backend_spec=options.solver_backend,
-                dense_order=dense_order,
                 simplify=simplify,
                 engines=engine_names,
             )
@@ -427,7 +422,6 @@ def run_fuzz(
             report = differential_check(
                 program.compile(), cell_result.cell.model,
                 backend_spec=options.solver_backend, name=program.spec(),
-                dense_order=dense_order,
                 simplify=simplify,
                 engines=engine_names,
             )

@@ -380,11 +380,9 @@ def method_comparison(
     observation_seconds = time.perf_counter() - start
 
     compiled = checker.compile(test, model)
-    # Same order construction and preprocessing on both sides of the
-    # Fig. 12 comparison.
+    # Same preprocessing on both sides of the Fig. 12 comparison.
     commit_result = run_commit_point_check(
-        compiled, model, dense_order=checker.session.dense_order,
-        simplify=checker.session.simplify,
+        compiled, model, simplify=checker.session.simplify
     )
     return MethodComparison(
         implementation=implementation_name,

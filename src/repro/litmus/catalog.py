@@ -290,7 +290,6 @@ def observation_outcome(
     model: MemoryModel | str,
     observation: tuple[int, ...] | None = None,
     backend_spec: str | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> LitmusOutcome:
     """Like :func:`observation_allowed`, but also reports which backend ran
@@ -299,7 +298,7 @@ def observation_outcome(
     compiled = compiled_litmus(litmus)
     encoded = encode_test(
         compiled, model, backend_factory=make_backend_factory(backend_spec),
-        dense_order=dense_order, simplify=simplify,
+        simplify=simplify,
     )
     target = observation if observation is not None else litmus.observation
     handles = encoded.observation_equals(target)
@@ -318,20 +317,18 @@ def observation_allowed(
     model: MemoryModel | str,
     observation: tuple[int, ...] | None = None,
     backend_spec: str | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> bool:
     """Is the litmus observation reachable under the given memory model?"""
     return observation_outcome(
         litmus, model, observation, backend_spec=backend_spec,
-        dense_order=dense_order, simplify=simplify,
+        simplify=simplify,
     ).allowed
 
 
 def iriw_allowed(
     model: MemoryModel | str,
     backend_spec: str | None = None,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> bool:
     """Fig. 2: can the two readers observe the writes in opposite orders?
@@ -345,7 +342,7 @@ def iriw_allowed(
     compiled = compiled_litmus(litmus)
     encoded = encode_test(
         compiled, model, backend_factory=make_backend_factory(backend_spec),
-        dense_order=dense_order, simplify=simplify,
+        simplify=simplify,
     )
     # Locate the r1a/r1b/r2a/r2b cells by their global layout position:
     # globals are x, y, r1a, r1b, r2a, r2b -> indices 1..6.

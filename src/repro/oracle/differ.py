@@ -74,7 +74,6 @@ def mine_sat_outcomes(
     model: MemoryModel | str,
     backend_spec: str | None = None,
     max_outcomes: int = 4096,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
 ) -> set[tuple[int, ...]]:
     """Enumerate every reachable observation vector from the SAT encoding.
@@ -86,7 +85,7 @@ def mine_sat_outcomes(
     model = get_model(model)
     encoded = encode_test(
         compiled, model, backend_factory=make_backend_factory(backend_spec),
-        dense_order=dense_order, simplify=simplify,
+        simplify=simplify,
     )
     outcomes: set[tuple[int, ...]] = set()
     encoded.expect_enumeration()
@@ -284,7 +283,6 @@ def differential_check(
     max_steps: int = 100_000,
     max_nodes: int = 400_000,
     max_outcomes: int = 4096,
-    dense_order: bool | None = None,
     simplify: bool | None = None,
     engines=None,
     max_checks: int = 250_000,
@@ -355,8 +353,7 @@ def differential_check(
             try:
                 mined = mine_sat_outcomes(
                     compiled, model, backend_spec=backend_spec,
-                    max_outcomes=max_outcomes, dense_order=dense_order,
-                    simplify=simplify,
+                    max_outcomes=max_outcomes, simplify=simplify,
                 )
                 report.sat_outcomes = mined
                 report.engine_results["sat"] = EngineResult(

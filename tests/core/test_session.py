@@ -72,6 +72,16 @@ class TestCrossModelReuse:
         assert not by_model["relaxed"].passed
         assert by_model["relaxed"].counterexample is not None
 
+    def test_sweep_charges_mining_time_to_the_mining_check_only(self):
+        """The spec is mined by the first check of a sweep; later checks
+        read it from the session cache and must report zero mining time
+        instead of repeating the first check's cost."""
+        results = CheckSession(get_implementation("msn")).sweep(
+            get_test("queue", "T0"), ["sc", "relaxed"]
+        )
+        assert results[0].stats.mining_seconds > 0
+        assert results[1].stats.mining_seconds == 0.0
+
     def test_repeated_check_same_pair_is_stable(self):
         """Re-checking the same (test, model) pair in one session returns
         the same verdict (the inclusion-contaminated encoding is evicted,

@@ -7,20 +7,27 @@ Three layers of protection for the rewrite of ``repro.encoding.memory``:
   static resolution / conflict restriction / pruned transitivity cannot
   silently regress back toward the dense construction;
 * **dense-vs-pruned differential** — the mined outcome set of every litmus
-  catalog test under every memory model must be identical under both
-  constructions (the operational oracle covers the same ground in
-  ``tests/oracle/``; this covers the dense encoder directly);
+  catalog test under every memory model, and of generated fuzz programs
+  under sc and relaxed, must be identical under both constructions, and
+  catalog inclusion checks must agree (the operational oracle covers the
+  same ground in ``tests/oracle/``; this covers the dense encoder
+  directly, which only ``encode_test(dense_order=True)`` reaches);
 * **mechanics** — static resolution facts, constant-folded ``order()``,
   dead pairs, topological counterexample decoding, and the
   assumption-lowering/backend-sync ordering fix in ``EncodedTest.solve``.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.inclusion import run_assertion_check, run_inclusion_check
+from repro.core.specification import mine_specification
 from repro.datatypes.registry import category_of, get_implementation
 from repro.encoding import compile_test, encode_test
-from repro.encoding.memory import dense_order_enabled
 from repro.encoding.testprogram import INIT_THREAD
+from repro.fuzz import generate_program
 from repro.harness.catalog import get_test
 from repro.litmus.catalog import available_litmus_tests, compiled_litmus
 from repro.lsl import Invocation, SymbolicTest
@@ -121,20 +128,54 @@ class TestDenseVsPrunedDifferential:
             )
 
     def test_catalog_check_verdict_matches(self):
-        """A full checker run (spec mining + assertion + inclusion) agrees
-        on a known-failing cell: msn-unfenced/T0 fails Relaxed both ways."""
-        from repro.core.checker import CheckFence, CheckOptions
-
+        """The inclusion check agrees on a known-failing cell:
+        msn-unfenced/T0 fails Relaxed on both constructions."""
+        compiled = _compiled_catalog("msn-unfenced", "T0")
+        model = get_model("relaxed")
+        spec = mine_specification(compiled)
         verdicts = {}
         for dense in (False, True):
-            checker = CheckFence(
-                get_implementation("msn-unfenced"),
-                CheckOptions(dense_order=dense),
+            encoded = encode_test(compiled, model, dense_order=dense)
+            assert encoded.stats.dense_order == dense
+            outcome = run_inclusion_check(
+                compiled, model, spec, encoded=encoded
             )
-            result = checker.check(get_test("queue", "T0"), "relaxed")
-            verdicts[dense] = result.passed
-            assert result.stats.dense_order == dense
+            verdicts[dense] = outcome.passed
         assert verdicts[False] == verdicts[True] == False  # noqa: E712
+
+    def test_all_models_agree_on_catalog_checks(self):
+        """Assertion and inclusion verdicts of msn/T0 match between the two
+        constructions under every memory model."""
+        compiled = _compiled_catalog("msn", "T0")
+        spec = mine_specification(compiled)
+        for model_name in available_models():
+            model = get_model(model_name)
+            verdicts = []
+            for dense in (False, True):
+                encoded = encode_test(compiled, model, dense_order=dense)
+                assertion = run_assertion_check(
+                    compiled, model, spec.labels, encoded=encoded
+                )
+                inclusion = run_inclusion_check(
+                    compiled, model, spec, encoded=encoded
+                )
+                verdicts.append((assertion.passed, inclusion.passed))
+            assert verdicts[0] == verdicts[1], model_name
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_dense_and_pruned_outcome_sets_match_on_fuzz_programs(seed):
+    """Property form over generated litmus programs: the dense reference
+    construction and the pruned one mine identical outcome sets under sc
+    and under relaxed (where every reordering axiom is live)."""
+    program = generate_program(random.Random(seed))
+    compiled = program.compile()
+    for model in ("sc", "relaxed"):
+        dense = _mine(encode_test(compiled, get_model(model),
+                                  dense_order=True))
+        pruned = _mine(encode_test(compiled, get_model(model)))
+        assert dense == pruned, f"{program.spec()} @ {model}"
 
 
 class TestStaticResolution:
@@ -226,14 +267,6 @@ class TestStaticResolution:
                 if a.thread != INIT_THREAD)
         assert dense.order.resolved(i, j) is not None
 
-    def test_dense_order_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("CHECKFENCE_DENSE_ORDER", raising=False)
-        assert dense_order_enabled(None) is False
-        assert dense_order_enabled(True) is True
-        monkeypatch.setenv("CHECKFENCE_DENSE_ORDER", "1")
-        assert dense_order_enabled(None) is True
-        assert dense_order_enabled(False) is False
-
 
 class TestCounterexampleDecoding:
     def test_trace_is_a_linear_extension_of_the_model_order(self):
@@ -271,16 +304,14 @@ class TestCounterexampleDecoding:
                     assert rank[x.index] < rank[y.index]
 
     def test_dense_and_pruned_traces_have_same_step_multiset(self):
-        from repro.core.inclusion import run_inclusion_check
-        from repro.core.specification import mine_specification
-
         compiled = _compiled_catalog("msn-unfenced", "T0")
         model = get_model("relaxed")
         spec = mine_specification(compiled)
         labels = {}
         for dense in (False, True):
             outcome = run_inclusion_check(
-                compiled, model, spec, dense_order=dense
+                compiled, model, spec,
+                encoded=encode_test(compiled, model, dense_order=dense),
             )
             assert not outcome.passed
             trace = outcome.counterexample
@@ -336,61 +367,3 @@ class TestSolveSyncRegression:
         assert observed and observed[0] is True
         # ...and whatever it appended was synced again before solving.
         assert encoded._synced_clauses == len(encoded.cnf.clauses)
-
-
-class TestSessionDenseKnob:
-    def test_session_resolves_and_keys_on_the_knob(self):
-        from repro.core.checker import CheckOptions
-        from repro.core.session import CheckSession
-
-        implementation = get_implementation("msn")
-        test = get_test("queue", "T0")
-        dense_session = CheckSession(
-            implementation, CheckOptions(dense_order=True)
-        )
-        pruned_session = CheckSession(implementation, CheckOptions())
-        assert dense_session.dense_order is True
-        assert pruned_session.dense_order is False
-        dense_encoded = dense_session.encoded(test, "relaxed")
-        pruned_encoded = pruned_session.encoded(test, "relaxed")
-        assert dense_encoded.stats.dense_order is True
-        assert pruned_encoded.stats.dense_order is False
-        assert (
-            pruned_encoded.stats.cnf_clauses < dense_encoded.stats.cnf_clauses
-        )
-        key_dense = dense_session._encoded_key(test, get_model("relaxed"))
-        key_pruned = pruned_session._encoded_key(test, get_model("relaxed"))
-        assert key_dense != key_pruned
-
-    def test_litmus_matrix_forwards_the_knob(self):
-        """`checkfence litmus --dense-order` really runs the dense
-        construction (the knob is forwarded through the matrix cells)."""
-        from repro.core.checker import CheckOptions
-        from repro.harness.matrix import litmus_cells, run_matrix
-
-        cells = litmus_cells(["sc"])[:2]
-        dense = run_matrix(cells, options=CheckOptions(dense_order=True))
-        pruned = run_matrix(cells, options=CheckOptions())
-        assert dense.ok and pruned.ok
-        for dense_cell, pruned_cell in zip(dense.results, pruned.results):
-            assert dense_cell.stats["order"]["dense_order"] is True
-            assert pruned_cell.stats["order"]["dense_order"] is False
-            assert dense_cell.verdict == pruned_cell.verdict
-            assert (
-                pruned_cell.stats["order"]["cnf_clauses"]
-                <= dense_cell.stats["order"]["cnf_clauses"]
-            )
-
-    def test_all_models_agree_between_sessions(self):
-        """Full sweep verdicts match between a dense and a pruned session."""
-        from repro.core.checker import CheckOptions
-        from repro.core.session import CheckSession
-
-        implementation = get_implementation("msn")
-        test = get_test("queue", "T0")
-        models = [m for m in available_models()]
-        dense = CheckSession(implementation, CheckOptions(dense_order=True))
-        pruned = CheckSession(implementation, CheckOptions(dense_order=False))
-        dense_verdicts = [r.passed for r in dense.sweep(test, models)]
-        pruned_verdicts = [r.passed for r in pruned.sweep(test, models)]
-        assert dense_verdicts == pruned_verdicts

@@ -1,11 +1,12 @@
-"""Encode-sharing preserves formulas, outcome sets, and verdicts.
+"""A fresh skeleton and a reused skeleton give the same formula.
 
-The acceptance property of the shared-skeleton optimization: for any
-program and any memory model, encoding on a fork of the memoized
-model-independent skeleton produces exactly the same formula — clause for
-clause — as rebuilding from scratch, hence the same outcome sets and
-check verdicts.  Sharing and scratch run the identical construction
-sequence; these tests are the differential gate that keeps that true.
+Every encode forks the model-independent skeleton memoized on the
+compiled test.  The acceptance property of that design: encoding model B
+right after compile (the skeleton is built for B) gives exactly the same
+formula — clause for clause — as encoding model B after model A has
+already forked the same skeleton, hence the same outcome sets and check
+verdicts.  A per-model layer that leaked state into the shared skeleton
+would break it; these tests are the gate that keeps it true.
 """
 
 from __future__ import annotations
@@ -16,23 +17,19 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding.formula import encode_test
-from repro.fuzz import FuzzProgram, generate_program
+from repro.encoding import compile_test, encode_test
+from repro.fuzz import generate_program
 from repro.memorymodel.base import get_model
 from repro.oracle.differ import mine_sat_outcomes
 
 MODELS = ["serial", "sc", "tso", "pso", "relaxed"]
 
 
-def _mine(compiled, model, share, monkeypatch):
-    monkeypatch.setenv("CHECKFENCE_SHARE_ENCODE", "1" if share else "0")
-    return mine_sat_outcomes(compiled, model)
-
-
-def test_catalog_outcome_sets_identical_with_sharing(monkeypatch):
-    """Real litmus shapes (fences, atomic blocks): the mined outcome set
-    under every model is identical shared vs scratch."""
-    from repro.litmus.catalog import available_litmus_tests, compiled_litmus
+def test_catalog_outcome_sets_identical_on_reused_skeleton():
+    """Real litmus shapes (fences, atomic blocks): under every model the
+    mined outcome set is identical on a fresh compile and on a compile
+    whose skeleton another model forked first."""
+    from repro.litmus.catalog import available_litmus_tests
 
     catalog = available_litmus_tests()
     for name in [
@@ -40,86 +37,116 @@ def test_catalog_outcome_sets_identical_with_sharing(monkeypatch):
         "message-passing+fences",
         "load-buffering",
     ]:
-        compiled = compiled_litmus(catalog[name])
+        litmus = catalog[name]
+
+        def fresh_compile():
+            return compile_test(litmus.implementation, litmus.symbolic_test())
+
+        reused = fresh_compile()
+        # Warm the skeleton with the last model so that every model of the
+        # loop, the first included, encodes after another model's fork.
+        mine_sat_outcomes(reused, MODELS[-1])
         for model in MODELS:
-            scratch = _mine(compiled, model, False, monkeypatch)
-            shared = _mine(compiled, model, True, monkeypatch)
-            assert shared == scratch, f"{name} @ {model}"
+            fresh = mine_sat_outcomes(fresh_compile(), model)
+            assert mine_sat_outcomes(reused, model) == fresh, (
+                f"{name} @ {model}"
+            )
 
 
-def test_shared_and_scratch_formulas_have_identical_sizes():
-    """Clause and variable counts agree exactly — sharing replays the same
+def test_fresh_and_reused_formulas_have_identical_sizes():
+    """Clause and variable counts agree exactly — forking replays the same
     construction, it does not approximate it."""
     from repro.datatypes.registry import get_implementation
-    from repro.core.session import CheckSession
     from repro.harness.catalog import get_test
 
-    session = CheckSession(get_implementation("msn"))
+    implementation = get_implementation("msn")
     test = get_test("queue", "T0")
+    reused_compiled = compile_test(implementation, test)
+    encode_test(reused_compiled, get_model(MODELS[-1]))
     for model_name in MODELS:
         model = get_model(model_name)
-        compiled = session.compile(test, model)
-        scratch = encode_test(compiled, model, share_encode=False)
-        shared = encode_test(compiled, model, share_encode=True)
-        assert shared.cnf.num_clauses == scratch.cnf.num_clauses, model_name
-        assert shared.cnf.num_vars == scratch.cnf.num_vars, model_name
-        assert shared.stats.cnf_clauses == scratch.stats.cnf_clauses
-        assert shared.stats.order_pairs == scratch.stats.order_pairs
+        fresh = encode_test(compile_test(implementation, test), model)
+        reused = encode_test(reused_compiled, model)
+        assert fresh.stats.skeleton_shared is False
+        assert reused.stats.skeleton_shared is True
+        assert reused.cnf.num_clauses == fresh.cnf.num_clauses, model_name
+        assert reused.cnf.num_vars == fresh.cnf.num_vars, model_name
+        assert reused.stats.cnf_clauses == fresh.stats.cnf_clauses
+        assert reused.stats.order_pairs == fresh.stats.order_pairs
 
 
-def test_session_verdicts_identical_with_sharing():
+def test_session_verdicts_identical_on_reused_skeleton():
     """Full checks (assertion + inclusion query, counterexample decoding)
-    are verdict-identical shared vs scratch, including the FAIL direction."""
-    from repro.core.checker import CheckOptions, check
+    are verdict-identical whether the session built the skeleton for this
+    model or reused it from an earlier model, including the FAIL
+    direction."""
+    from repro.core.session import CheckSession
     from repro.datatypes.registry import get_implementation
     from repro.harness.catalog import get_test
 
     cases = [("msn", "T0"), ("msn-unfenced", "T0")]
+    verdicts = set()
     for impl_name, test_name in cases:
         implementation = get_implementation(impl_name)
         test = get_test("queue", test_name)
-        for model in MODELS:
-            scratch = check(
-                implementation, test, model,
-                CheckOptions(share_encode=False),
-            )
-            shared = check(
-                implementation, test, model,
-                CheckOptions(share_encode=True),
-            )
-            assert shared.passed == scratch.passed, (impl_name, model)
+        sweep = CheckSession(implementation).sweep(
+            test, [MODELS[-1]] + MODELS
+        )[1:]
+        for model, reused in zip(MODELS, sweep):
+            fresh = CheckSession(implementation).check(test, model)
+            assert fresh.stats.skeleton_shared is False
+            assert reused.stats.skeleton_shared is True
+            assert reused.passed == fresh.passed, (impl_name, model)
+            verdicts.add(fresh.passed)
             assert (
-                shared.stats.cnf_clauses == scratch.stats.cnf_clauses
+                reused.stats.cnf_clauses == fresh.stats.cnf_clauses
             ), (impl_name, model)
             assert (
-                shared.specification.observations
-                == scratch.specification.observations
+                reused.stats.cnf_variables == fresh.stats.cnf_variables
+            ), (impl_name, model)
+            assert (
+                reused.specification.observations
+                == fresh.specification.observations
             )
-            if not scratch.passed:
-                assert shared.counterexample is not None
+            if not fresh.passed:
+                assert reused.counterexample is not None
                 assert (
-                    shared.counterexample.observation
-                    not in scratch.specification
+                    reused.counterexample.observation
+                    not in fresh.specification
                 )
+    assert verdicts == {True, False}, "both PASS and FAIL were compared"
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_sharing_preserves_outcome_sets_on_fuzz_programs(seed):
-    """Property form over generated litmus programs (relaxed model — the
-    one where every reordering axiom is live)."""
-    import os
-
+def test_reused_skeleton_preserves_outcome_sets_on_fuzz_programs(seed):
+    """Property form over generated litmus programs: each of sc and
+    relaxed (the model where every reordering axiom is live) mines the
+    same outcome set after the other model forked the skeleton."""
     program = generate_program(random.Random(seed))
-    compiled = program.compile()
+    reused = program.compile()
+    mine_sat_outcomes(reused, "relaxed")
     for model in ("sc", "relaxed"):
-        os.environ["CHECKFENCE_SHARE_ENCODE"] = "0"
-        try:
-            scratch = mine_sat_outcomes(compiled, model)
-        finally:
-            os.environ["CHECKFENCE_SHARE_ENCODE"] = "1"
-        shared = mine_sat_outcomes(compiled, model)
-        assert shared == scratch, f"{program.spec()} @ {model}"
+        fresh = mine_sat_outcomes(program.compile(), model)
+        assert mine_sat_outcomes(reused, model) == fresh, (
+            f"{program.spec()} @ {model}"
+        )
+
+
+def test_sweep_reuses_one_skeleton():
+    """Across a five-model sweep the skeleton is built exactly once and
+    every later model reuses it."""
+    from repro.datatypes.registry import get_implementation
+    from repro.harness.catalog import get_test
+
+    compiled = compile_test(get_implementation("msn"), get_test("queue", "T0"))
+    stats = [
+        encode_test(compiled, get_model(name)).stats for name in MODELS
+    ]
+    assert stats[0].skeleton_shared is False
+    assert all(s.skeleton_shared for s in stats[1:])
+    assert stats[0].skeleton_seconds > 0.0
+    assert all(s.skeleton_seconds == 0.0 for s in stats[1:])
 
 
 _DETERMINISM_SNIPPET = """\
@@ -134,7 +161,7 @@ test = get_test("queue", "T0")
 for model_name in ["sc", "tso", "relaxed"]:
     model = get_model(model_name)
     compiled = session.compile(test, model)
-    encoded = encode_test(compiled, model, share_encode=True)
+    encoded = encode_test(compiled, model)
     print(model_name, encoded.cnf.num_vars, encoded.cnf.num_clauses,
           encoded.stats.skeleton_shared)
 """
@@ -142,8 +169,8 @@ for model_name in ["sc", "tso", "relaxed"]:
 
 def test_two_process_determinism(src_on_subprocess_path):
     """Two independent processes produce byte-identical formula statistics
-    on the shared path — no hidden iteration-order or hash-seed
-    dependence (PYTHONHASHSEED is left random on purpose)."""
+    — no hidden iteration-order or hash-seed dependence (PYTHONHASHSEED is
+    left random on purpose)."""
     def run():
         return subprocess.run(
             [sys.executable, "-c", _DETERMINISM_SNIPPET],

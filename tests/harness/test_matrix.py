@@ -5,10 +5,9 @@ import json
 import pytest
 
 from repro.core.checker import CheckOptions
+from repro.core.faults import FAULT_ENV
 from repro.harness.matrix import (
     CATALOG_KIND,
-    CRASH_ENV,
-    INTERRUPT_ENV,
     LITMUS_KIND,
     CellResult,
     MatrixCell,
@@ -23,6 +22,12 @@ from repro.harness.runner import catalog_matrix, model_sweep
 
 def _verdicts(matrix):
     return [(r.cell.key, r.verdict) for r in matrix.results]
+
+
+def _always_crash(cells):
+    """A fault directive that crashes every attempt at the given cells:
+    the count is far above the retry cap, so they are quarantined."""
+    return ",".join(f"worker-crash:{cell.key}:99" for cell in cells)
 
 
 class TestCells:
@@ -185,12 +190,12 @@ class TestWorkerCrash:
     ):
         cells = litmus_cells(["relaxed"])
         victim = cells[2]
-        monkeypatch.setenv(CRASH_ENV, victim.key)
+        monkeypatch.setenv(FAULT_ENV, _always_crash([victim]))
         matrix = run_matrix(cells, jobs=2)
         assert not matrix.ok
         by_key = {r.cell.key: r for r in matrix.results}
         crashed = by_key[victim.key]
-        # The legacy env crashes every attempt, so the cell exhausts its
+        # The directive crashes every attempt, so the cell exhausts its
         # retries and is quarantined with the first-class CRASHED verdict
         # (not ERROR: the harness ran fine, the worker died).
         assert crashed.verdict == "CRASHED"
@@ -204,7 +209,7 @@ class TestWorkerCrash:
         """When every worker dies, remaining shards are reported as lost
         instead of the run hanging on a queue that will never fill."""
         cells = litmus_cells(["sc", "tso", "pso", "relaxed"])
-        monkeypatch.setenv(CRASH_ENV, ",".join(cell.key for cell in cells))
+        monkeypatch.setenv(FAULT_ENV, _always_crash(cells))
         matrix = run_matrix(cells, jobs=2)
         assert not matrix.ok
         assert len(matrix.degraded) == len(cells)
@@ -217,7 +222,7 @@ class TestWorkerCrash:
 class TestInterrupt:
     """Ctrl-C during a matrix run must tear the pool down, not orphan it.
 
-    The INTERRUPT_ENV hook raises KeyboardInterrupt in the parent the
+    The ``interrupt:<key>`` fault raises KeyboardInterrupt in the parent the
     moment the chosen cell's result is recorded — the deterministic stand-
     in for a user interrupt mid-run.
     """
@@ -226,7 +231,7 @@ class TestInterrupt:
         import multiprocessing
 
         cells = litmus_cells(["sc", "relaxed"])
-        monkeypatch.setenv(INTERRUPT_ENV, cells[1].key)
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:{cells[1].key}")
         before = {id(p) for p in multiprocessing.active_children()}
         with pytest.raises(KeyboardInterrupt):
             run_matrix(cells, jobs=2)
@@ -242,7 +247,7 @@ class TestInterrupt:
 
     def test_serial_interrupt_propagates(self, monkeypatch):
         cells = litmus_cells(["sc"])
-        monkeypatch.setenv(INTERRUPT_ENV, cells[0].key)
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:{cells[0].key}")
         with pytest.raises(KeyboardInterrupt):
             run_matrix(cells, jobs=1)
 
@@ -251,7 +256,7 @@ class TestInterrupt:
         from repro.fuzz.generator import generate_corpus
 
         spec = generate_corpus(seed=5, budget=1)[0].spec()
-        monkeypatch.setenv(INTERRUPT_ENV, f"fuzz/{spec}@sc")
+        monkeypatch.setenv(FAULT_ENV, f"interrupt:fuzz/{spec}@sc")
         code = main([
             "fuzz", "--budget", "1", "--seed", "5", "--models", "sc",
             "--jobs", "1", "--quiet",

@@ -42,6 +42,30 @@ class TestCli:
         assert "store-buffering" in out
         assert "forbidden" in out
 
+    def test_check_flags_carry_no_encoder_baselines(self):
+        """The seven checking subcommands share one flag set; the dense
+        order and scratch encoding are not on it."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        checking = {
+            name for name, sub in subparsers.choices.items()
+            if "--no-simplify" in sub._option_string_actions
+        }
+        assert checking == {
+            "check", "sweep", "litmus", "matrix", "oracle", "synthesize",
+            "fuzz",
+        }
+        for name in checking:
+            for flag in subparsers.choices[name]._option_string_actions:
+                assert "dense" not in flag, (name, flag)
+                assert "share" not in flag, (name, flag)
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

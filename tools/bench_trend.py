@@ -52,7 +52,6 @@ DEFAULT_SET = [
     "fig2_litmus",
     "fig10_inclusion",
     "encoding_size",
-    "encode_share",
     "fuzz_throughput",
     "simplify",
     "rfcheck",
@@ -349,10 +348,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "environment": {
             key: os.environ.get(key, "")
-            for key in ("CHECKFENCE_SOLVER", "CHECKFENCE_DENSE_ORDER",
-                        "CHECKFENCE_SIMPLIFY",
-                        "CHECKFENCE_SIMPLIFY_MIN_CLAUSES",
-                        "CHECKFENCE_SHARE_ENCODE", "CHECKFENCE_STORE",
+            for key in ("CHECKFENCE_SOLVER", "CHECKFENCE_SIMPLIFY",
+                        "CHECKFENCE_SIMPLIFY_MIN_CLAUSES", "CHECKFENCE_STORE",
                         "CHECKFENCE_JOBS", "CHECKFENCE_LARGE")
         },
         "benchmarks": records,
