@@ -589,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver_help = (
         "SAT backend: auto, internal, dimacs, dimacs:<command>, ipasir, "
-        "ipasir:cli, or ipasir:<path-to-shared-library> "
+        "ipasir:cli, or ipasir:<path-to-shared-library>; auto is the "
+        "native C solver, compiled on first use, or the pure-Python "
+        "solver (internal) when no C compiler is available "
         "(default: CHECKFENCE_SOLVER or auto)"
     )
     simplify_help = (
@@ -597,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
         "equivalent literals, subsumption, bounded variable elimination) "
         "that runs between lowering and solving; same verdicts, bigger "
         "formulas — the differential baseline "
-        "(default: CHECKFENCE_SIMPLIFY or on)"
+        "(default: CHECKFENCE_SIMPLIFY, else on in front of the Python "
+        "solvers and off in front of the native one)"
     )
     store_help = (
         "consult and populate the persistent on-disk result store "

@@ -41,7 +41,7 @@ from repro.encoding.testprogram import CompiledTest, compile_test
 from repro.lang.lower import compile_c
 from repro.lsl.program import Program, SymbolicTest
 from repro.memorymodel.base import MemoryModel, get_model
-from repro.sat.backend import make_backend_factory
+from repro.sat.backend import is_native, make_backend_factory
 from repro.sat.solver import SolverStats
 
 
@@ -63,9 +63,11 @@ class CheckSession:
         )
         self.backend_factory = make_backend_factory(self.options.solver_backend)
         #: CNF preprocessing, resolved once (option wins, then the
-        #: CHECKFENCE_SIMPLIFY environment variable) so every encoding and
-        #: cache key of this session agrees.
-        self.simplify = simplify_enabled(self.options.simplify)
+        #: CHECKFENCE_SIMPLIFY environment variable, then the backend's
+        #: default) so every encoding and cache key of this session agrees.
+        self.simplify = simplify_enabled(
+            self.options.simplify, native=is_native(self.backend_factory)
+        )
         #: Persistent on-disk store (None when disabled — the default).
         self.store = result_store.open_store(self.options.store)
         self._compiled: dict[tuple, CompiledTest] = {}

@@ -39,7 +39,12 @@ from repro.encoding.testprogram import INIT_THREAD, CompiledInvocation, Compiled
 from repro.lsl.instructions import Alloc
 from repro.lsl.values import is_undef
 from repro.memorymodel.base import MemoryModel
-from repro.sat.backend import BackendFactory, InternalBackend, SolverBackend
+from repro.sat.backend import (
+    BackendFactory,
+    InternalBackend,
+    SolverBackend,
+    is_native,
+)
 from repro.sat.bitvec import BitVec, BitVecBuilder
 from repro.sat.circuit import Circuit, CnfLowering
 from repro.sat.simplify import (
@@ -77,13 +82,6 @@ class EncodingContext:
         self._addr_eq: dict[tuple[int, int], int] = {}
         self._value_eq: dict[tuple[int, int], int] = {}
         self._init_terms: dict[int, int] = {}
-        #: Memoized model-independent enumerations (sorted access lists,
-        #: same-thread pairs, fence pairs, atomic-exclusion triples, value
-        #: candidates).  Forks share the dict *by reference* so the models
-        #: of a sweep could reuse them, but ``MemoryModelEncoder`` only
-        #: adopts a non-empty dict and nothing fills this one, so each layer
-        #: computes its own.
-        self.shared_streams: dict = {}
 
     # -------------------------------------------------------------- snapshot
 
@@ -111,7 +109,6 @@ class EncodingContext:
         out._addr_eq = dict(self._addr_eq)
         out._value_eq = dict(self._value_eq)
         out._init_terms = dict(self._init_terms)
-        out.shared_streams = self.shared_streams
         return out
 
     # ------------------------------------------------------------- plumbing
@@ -1015,15 +1012,18 @@ def encode_test(
     compiled test and runs only the per-model layer on the fork.
 
     ``simplify`` runs the in-process CNF preprocessor between lowering and
-    solving (``True`` by default); ``None`` defers to
-    ``CHECKFENCE_SIMPLIFY`` (``0`` disables).
+    solving; ``None`` defers to ``CHECKFENCE_SIMPLIFY`` (``0`` disables),
+    else it is on unless ``backend_factory`` is the native lane
+    (:func:`repro.sat.simplify.simplify_enabled`).
 
     ``dense_order=True`` builds the memory order with the dense O(n^3)
     reference construction instead of the pruned one.  It exists for the
     differential tests and the encoding-size benchmark, which prove both
     constructions give the same outcome sets; no product path sets it.
     """
-    simplify_flag = simplify_enabled(simplify)
+    simplify_flag = simplify_enabled(
+        simplify, native=is_native(backend_factory)
+    )
     skeleton, reused = skeleton_for(compiled)
     layer_start = time.perf_counter()
     # Fork even a freshly built skeleton: it must stay pristine for the

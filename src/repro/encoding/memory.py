@@ -116,46 +116,38 @@ class MemoryModelEncoder:
         self.model = model
         self.threads = threads
         self.dense = dense
-        # Model-independent enumerations are memoized in ``_streams``.  The
-        # context's ``shared_streams`` dict is empty when a layer starts and
-        # an empty dict is falsy, so each layer gets a private dict and
-        # recomputes them; nothing is shared across the models of a sweep.
-        self._streams: dict = getattr(context, "shared_streams", None) or {}
-        base = self._streams.get("base")
-        if base is None:
-            accesses = sorted(
-                (a for t in threads for a in t.accesses), key=lambda a: a.index
+        #: Memo of the enumerations several axioms walk (fence pairs,
+        #: atomic groups, exclusion triples, invocation group pairs).
+        self._streams: dict = {}
+        accesses = sorted(
+            (a for t in threads for a in t.accesses), key=lambda a: a.index
+        )
+        # Re-index accesses densely (their global indices may have gaps
+        # if other structures were encoded in between).
+        position = {a.index: i for i, a in enumerate(accesses)}
+        alias_sets: dict[int, frozenset | None] = {
+            a.index: (
+                frozenset(a.addr_candidates)
+                if a.addr_candidates is not None
+                else None
             )
-            # Re-index accesses densely (their global indices may have gaps
-            # if other structures were encoded in between).
-            position = {a.index: i for i, a in enumerate(accesses)}
-            alias_sets: dict[int, frozenset | None] = {
-                a.index: (
-                    frozenset(a.addr_candidates)
-                    if a.addr_candidates is not None
-                    else None
-                )
-                for a in accesses
-            }
-            by_thread = {
-                t.thread: sorted(t.accesses, key=lambda a: a.seq)
-                for t in threads
-            }
-            same_thread_pairs = [
-                (first, second)
-                for thread_accesses in by_thread.values()
-                for i, first in enumerate(thread_accesses)
-                for second in thread_accesses[i + 1:]
-            ]
-            base = (accesses, position, alias_sets, by_thread, same_thread_pairs)
-            self._streams["base"] = base
-        (
-            self.accesses,
-            self._position,
-            self._alias_sets,
-            self._by_thread,
-            self._same_thread_pair_list,
-        ) = base
+            for a in accesses
+        }
+        by_thread = {
+            t.thread: sorted(t.accesses, key=lambda a: a.seq)
+            for t in threads
+        }
+        same_thread_pairs = [
+            (first, second)
+            for thread_accesses in by_thread.values()
+            for i, first in enumerate(thread_accesses)
+            for second in thread_accesses[i + 1:]
+        ]
+        self.accesses = accesses
+        self._position = position
+        self._alias_sets = alias_sets
+        self._by_thread = by_thread
+        self._same_thread_pair_list = same_thread_pairs
         self.encoding = MemoryOrderEncoding(accesses=self.accesses)
         #: Candidate stores per load (visibility-pruned under the pruned
         #: construction), filled by :meth:`_compute_value_candidates`.
@@ -244,42 +236,36 @@ class MemoryModelEncoder:
         # order, atomic-block-internal order, always-executed fences, and
         # constant same-address store pairs (conditional only on the
         # model's same-address axiom being on, which is part of the cache
-        # key) — plus the model's preserved program-order pairs.  The core
-        # masks are memoized on the shared streams, so a sweep computes
-        # them once; edges are idempotent under ``|=``, so unioning the
-        # core with the preserves pass yields exactly the edge set the
-        # single combined walk used to produce.
-        core_key = ("core_successors", self.model.same_address_store_order)
-        core = self._streams.get(core_key)
-        if core is None:
-            core = [0] * n
+        # key) — plus the model's preserved program-order pairs.  Edges are
+        # idempotent under ``|=``, so unioning the core with the preserves
+        # pass yields exactly the edge set one combined walk would produce.
+        core = [0] * n
 
-            def add_edge(first: MemoryAccess, second: MemoryAccess) -> None:
-                core[position[first.index]] |= 1 << position[second.index]
+        def add_edge(first: MemoryAccess, second: MemoryAccess) -> None:
+            core[position[first.index]] |= 1 << position[second.index]
 
-            circuit_true = self.ctx.circuit.TRUE
-            for first, second in self._same_thread_pairs():
-                if first.thread == INIT_THREAD:
-                    add_edge(first, second)
-                elif (
-                    first.atomic_group is not None
-                    and first.atomic_group == second.atomic_group
-                ):
-                    add_edge(first, second)
-                elif self._same_address_static_edge(first, second):
-                    # Axiom 1 with a constant address comparison: the guard
-                    # of the implication is always true, so the order is
-                    # forced.
-                    add_edge(first, second)
-            for first, second, guard in self._fence_pairs():
-                if guard == circuit_true:
-                    add_edge(first, second)
-            init_accesses = [a for a in self.accesses if a.thread == INIT_THREAD]
-            others = [a for a in self.accesses if a.thread != INIT_THREAD]
-            for first in init_accesses:
-                for second in others:
-                    add_edge(first, second)
-            self._streams[core_key] = core
+        circuit_true = self.ctx.circuit.TRUE
+        for first, second in self._same_thread_pairs():
+            if first.thread == INIT_THREAD:
+                add_edge(first, second)
+            elif (
+                first.atomic_group is not None
+                and first.atomic_group == second.atomic_group
+            ):
+                add_edge(first, second)
+            elif self._same_address_static_edge(first, second):
+                # Axiom 1 with a constant address comparison: the guard
+                # of the implication is always true, so the order is
+                # forced.
+                add_edge(first, second)
+        for first, second, guard in self._fence_pairs():
+            if guard == circuit_true:
+                add_edge(first, second)
+        init_accesses = [a for a in self.accesses if a.thread == INIT_THREAD]
+        others = [a for a in self.accesses if a.thread != INIT_THREAD]
+        for first in init_accesses:
+            for second in others:
+                add_edge(first, second)
 
         successors = list(core)
         preserves = self.model.preserves
@@ -851,10 +837,6 @@ class MemoryModelEncoder:
         whose visibility is statically impossible (ordered after the load
         with no forwarding) are dropped here, before any term is built.
         """
-        cached = self._streams.get("value_candidates")
-        if cached is not None:
-            self._value_candidates = cached
-            return
         stores = [a for a in self.accesses if a.is_store]
         by_location: dict[int, list[MemoryAccess]] = {}
         wildcard: list[MemoryAccess] = []
@@ -880,7 +862,6 @@ class MemoryModelEncoder:
                         merged[store.index] = store
                 candidates = [merged[index] for index in sorted(merged)]
             self._value_candidates.append((load, candidates))
-        self._streams["value_candidates"] = self._value_candidates
 
     def _prune_value_candidates(self) -> None:
         """Drop statically invisible stores from every candidate list (the

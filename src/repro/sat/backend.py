@@ -16,7 +16,10 @@ Backend choice is a string *spec* threaded through
 :class:`repro.core.checker.CheckOptions`, the CLI (``--solver``) and the
 ``CHECKFENCE_SOLVER`` environment variable:
 
-* ``auto`` / ``internal`` — the internal CDCL solver (deterministic default);
+* ``auto`` — the native C solver lane (:mod:`repro.sat.native`, compiled
+  on first use), or the internal solver when no C compiler is available
+  or the build fails (the default);
+* ``internal`` — always the pure-Python CDCL solver;
 * ``dimacs`` — the first external DIMACS solver found on PATH, internal
   fallback when none is installed;
 * ``dimacs:<command>`` — a specific solver command, e.g.
@@ -432,14 +435,45 @@ def make_backend_factory(spec: str | None = None) -> BackendFactory:
     """
     factory = _resolve_backend_factory(spec)
     if faults.solver_raise_counts():
-        return lambda: faults.FaultySolverProxy(factory())
+        def faulty() -> SolverBackend:
+            return faults.FaultySolverProxy(factory())
+        faulty.native = is_native(factory)
+        return faulty
+    return factory
+
+
+def is_native(factory: BackendFactory | None) -> bool:
+    """Whether ``factory`` makes backends of the native C solver lane."""
+    return getattr(factory, "native", False)
+
+
+def _native_factory() -> BackendFactory | None:
+    """A factory of native-lane backends (:mod:`repro.sat.native`, built on
+    first use); None when the solver cannot be built on this machine."""
+    # Imported lazily: the native lane pulls in ctypes and the cache
+    # directory, which the other specs never need.
+    from repro.sat import native
+    from repro.sat.ipasir import IpasirBackend
+
+    library = native.load_library()
+    if library is None:
+        return None
+
+    def factory() -> SolverBackend:
+        backend = IpasirBackend(library)
+        backend.name = "native"
+        return backend
+
+    factory.native = True
     return factory
 
 
 def _resolve_backend_factory(spec: str | None = None) -> BackendFactory:
     spec = spec if spec is not None else default_backend_spec()
     spec = spec.strip()
-    if spec in ("", "auto", "internal"):
+    if spec in ("", "auto"):
+        return _native_factory() or InternalBackend
+    if spec == "internal":
         return InternalBackend
     if spec == "dimacs":
         return DimacsBackend

@@ -17,6 +17,18 @@ restarted zChaff from scratch, an IPASIR solver *persists* across the
 hundreds of solve/block iterations the specification miner and the fence
 inference loop issue, so learned clauses from one query prune the next.
 
+Optional symbols are bound only when the library exports them:
+``ipasir_set_terminate`` (deadline enforcement inside a solve) and three
+extensions the in-tree native solver (:mod:`repro.sat.native`) provides
+so the ctypes binding pays one call per batch instead of one per literal:
+
+* ``ipasirx_add_clauses(S, const int32_t *lits, size_t n)`` — add a
+  buffer of 0-terminated clauses, returns 0 once the formula is UNSAT;
+* ``ipasirx_values(S, const int32_t *vars, size_t n, int8_t *out)`` —
+  model values of ``n`` variables (1 true, 0 false);
+* ``ipasirx_stats(S, int64_t *out, size_t n)`` — cumulative solver
+  counters in :data:`EXTENSION_STATS` order.
+
 Two backends are provided:
 
 * :class:`IpasirBackend` — loads an IPASIR shared library via
@@ -31,17 +43,23 @@ Both register under the ``ipasir`` backend spec (see
 :func:`repro.sat.backend.make_backend_factory`): ``ipasir`` auto-discovers
 a library and falls back to the internal solver, ``ipasir:cli`` forces the
 pipe backend, and ``ipasir:<path>`` loads a specific shared library.
+Discovery and loading are memoised per process (:func:`load_library`), so
+making a backend costs one ``ipasir_init`` call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import functools
 import os
 import subprocess
 import sys
 import threading
-from typing import IO, Iterable, Sequence
+from array import array
+from itertools import chain, repeat
+from operator import add
+from typing import Iterable, Sequence
 
 from repro.core import limits
 from repro.sat.cnf import CNF
@@ -54,6 +72,12 @@ IPASIR_INTERRUPTED = 0
 #: C type of the optional ``ipasir_set_terminate`` callback: called
 #: periodically by the solver; a non-zero return aborts the solve.
 TERMINATE_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
+
+#: The counters ``ipasirx_stats`` reports, in order.
+EXTENSION_STATS = (
+    "decisions", "propagations", "conflicts", "restarts",
+    "learned_clauses", "deleted_clauses", "max_decision_level",
+)
 
 #: Environment variable naming the shared library to load for ``ipasir``.
 IPASIR_LIB_ENV = "CHECKFENCE_IPASIR_LIB"
@@ -125,6 +149,26 @@ class IpasirLibrary:
             cdll.ipasir_set_terminate.argtypes = [
                 ctypes.c_void_p, ctypes.c_void_p, TERMINATE_CALLBACK
             ]
+        # Buffers are passed as raw addresses (array.buffer_info()).
+        self.supports_bulk_add = hasattr(cdll, "ipasirx_add_clauses")
+        if self.supports_bulk_add:
+            cdll.ipasirx_add_clauses.restype = ctypes.c_int
+            cdll.ipasirx_add_clauses.argtypes = [
+                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t
+            ]
+        self.supports_values = hasattr(cdll, "ipasirx_values")
+        if self.supports_values:
+            cdll.ipasirx_values.restype = None
+            cdll.ipasirx_values.argtypes = [
+                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+                ctypes.c_void_p,
+            ]
+        self.supports_stats = hasattr(cdll, "ipasirx_stats")
+        if self.supports_stats:
+            cdll.ipasirx_stats.restype = ctypes.c_size_t
+            cdll.ipasirx_stats.argtypes = [
+                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t
+            ]
 
     def signature(self) -> str:
         if hasattr(self._cdll, "ipasir_signature"):
@@ -166,14 +210,47 @@ class IpasirLibrary:
                 callback if callback is not None else TERMINATE_CALLBACK(),
             )
 
+    def add_clauses(self, handle: int, buffer: array) -> bool:
+        """``ipasirx_add_clauses`` over an ``array('i')`` of 0-terminated
+        clauses; False once the formula is unsatisfiable."""
+        address, count = buffer.buffer_info()
+        return bool(self._cdll.ipasirx_add_clauses(handle, address, count))
+
+    def values(self, handle: int, variables: array) -> array:
+        """``ipasirx_values`` over an ``array('i')`` of variables: one
+        ``array('b')`` entry per variable, 1 when true."""
+        out = array("b", bytes(len(variables)))
+        address, count = variables.buffer_info()
+        self._cdll.ipasirx_values(handle, address, count, out.buffer_info()[0])
+        return out
+
+    def stats(self, handle: int) -> SolverStats:
+        counters = array("q", bytes(8 * len(EXTENSION_STATS)))
+        address, count = counters.buffer_info()
+        self._cdll.ipasirx_stats(handle, address, count)
+        return SolverStats(**dict(zip(EXTENSION_STATS, counters)))
+
+
+@functools.lru_cache(maxsize=None)
+def load_library(path: str) -> IpasirLibrary:
+    """The :class:`IpasirLibrary` for ``path``, loaded once per process
+    (raises :class:`IpasirError` when it cannot be loaded)."""
+    return IpasirLibrary(path)
+
 
 def find_ipasir_library() -> str | None:
     """Locate an IPASIR shared library: ``CHECKFENCE_IPASIR_LIB`` first,
     then :func:`ctypes.util.find_library` and common soname spellings of
-    the known solvers.  Returns a loadable path/soname or None."""
+    the known solvers.  Returns a loadable path/soname or None.  The probe
+    of the known solvers runs once per process."""
     configured = os.environ.get(IPASIR_LIB_ENV)
     if configured:
         return configured
+    return _probe_known_libraries()
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_known_libraries() -> str | None:
     candidates: list[str] = []
     for base in _KNOWN_LIBRARIES:
         found = ctypes.util.find_library(base)
@@ -182,7 +259,7 @@ def find_ipasir_library() -> str | None:
         candidates.append(f"lib{base}.so")
     for candidate in candidates:
         try:
-            IpasirLibrary(candidate)
+            load_library(candidate)
         except IpasirError:
             continue
         return candidate
@@ -211,15 +288,13 @@ class IpasirBackend:
                 )
             library = found
         if isinstance(library, str):
-            library = IpasirLibrary(library)
+            library = load_library(library)
         self._library = library
         self._handle = library.init()
         self.name = f"ipasir({library.signature()})"
         self._num_vars = 0
-        self._unsat = False
         self._last_result: bool | None = None
         self._failed: list[int] = []
-        self._solves = 0
         self._terminate_thunk = None
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
@@ -238,27 +313,26 @@ class IpasirBackend:
             self._num_vars = num_vars
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        add = self._library.add
-        handle = self._handle
-        count = 0
-        num_vars = self._num_vars
-        for lit in literals:
-            if lit == 0:
-                raise IpasirError("0 is not a valid literal")
-            var = lit if lit > 0 else -lit
-            if var > num_vars:
-                num_vars = var
-            add(handle, lit)
-            count += 1
-        add(handle, 0)
-        self._num_vars = num_vars
-        if count == 0:
-            self._unsat = True
-            return False
-        return True
+        return self.add_clauses((tuple(literals),))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        add = self._library.add
+        """Add clauses; False once the formula is known unsatisfiable (an
+        empty clause, or — for libraries with the bulk extension — any
+        root-level contradiction)."""
+        library = self._library
+        if library.supports_bulk_add:
+            clauses = list(clauses)
+            buffer = array("i", chain.from_iterable(
+                map(add, map(tuple, clauses), repeat((0,)))
+            ))
+            if buffer.count(0) != len(clauses):
+                raise IpasirError("0 is not a valid literal")
+            if buffer:
+                self._num_vars = max(
+                    self._num_vars, max(buffer), -min(buffer)
+                )
+            return library.add_clauses(self._handle, buffer)
+        add_literal = library.add
         handle = self._handle
         num_vars = self._num_vars
         ok = True
@@ -270,12 +344,10 @@ class IpasirBackend:
                 var = lit if lit > 0 else -lit
                 if var > num_vars:
                     num_vars = var
-                add(handle, lit)
+                add_literal(handle, lit)
                 count += 1
-            add(handle, 0)
-            if count == 0:
-                self._unsat = True
-                ok = False
+            add_literal(handle, 0)
+            ok = ok and count > 0
         self._num_vars = num_vars
         return ok
 
@@ -301,6 +373,12 @@ class IpasirBackend:
         # between solves).
         self._failed = []
         self._last_result = None
+        if assumptions:
+            if 0 in assumptions:
+                raise IpasirError("0 is not a valid assumption literal")
+            # Assumed variables belong to the model (as in the internal
+            # solver) even when no clause mentions them.
+            self.ensure_vars(max(map(abs, assumptions)))
         library = self._library
         handle = self._handle
         deadline = limits.active_deadline()
@@ -325,7 +403,6 @@ class IpasirBackend:
             if terminate_installed:
                 library.set_terminate(handle, None)
                 self._terminate_thunk = None
-        self._solves += 1
         if result == IPASIR_INTERRUPTED and deadline is not None:
             deadline.check()
         if result == IPASIR_SAT:
@@ -351,20 +428,19 @@ class IpasirBackend:
         return list(self._failed)
 
     def model(self) -> dict[int, bool]:
-        if not self._last_result:
-            return {}
-        library = self._library
-        handle = self._handle
-        return {
-            var: library.val(handle, var) > 0
-            for var in range(1, self._num_vars + 1)
-        }
+        return self.values_of(range(1, self._num_vars + 1))
 
     def values_of(self, variables: Iterable[int]) -> dict[int, bool]:
         if not self._last_result:
             return {}
         library = self._library
         handle = self._handle
+        if library.supports_values:
+            variables = list(variables)
+            wanted = array("i", variables)
+            return dict(zip(
+                variables, map(bool, library.values(handle, wanted))
+            ))
         num_vars = self._num_vars
         return {
             var: (library.val(handle, var) > 0) if 0 < var <= num_vars
@@ -373,7 +449,10 @@ class IpasirBackend:
         }
 
     def stats(self) -> SolverStats | None:
-        """IPASIR exposes no counter API; None means unavailable."""
+        """The library's cumulative counters (``ipasirx_stats``); None
+        (unavailable) for libraries with the plain IPASIR API."""
+        if self._library.supports_stats:
+            return self._library.stats(self._handle)
         return None
 
 

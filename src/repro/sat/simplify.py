@@ -76,14 +76,20 @@ from typing import Iterable, Sequence
 from repro.core import limits
 
 
-def simplify_enabled(flag: bool | None = None) -> bool:
-    """Resolve the simplification knob: an explicit flag wins, otherwise
-    the ``CHECKFENCE_SIMPLIFY`` environment variable.  Unlike the other
-    repo env flags this one is *default-on*: only the literal ``"0"``
-    disables it (``--no-simplify`` / ``CHECKFENCE_SIMPLIFY=0``)."""
+def simplify_enabled(flag: bool | None = None, native: bool = False) -> bool:
+    """Resolve the simplification knob: an explicit flag wins, then the
+    ``CHECKFENCE_SIMPLIFY`` environment variable (only the literal ``"0"``
+    disables it; ``--no-simplify`` / ``CHECKFENCE_SIMPLIFY=0``), then the
+    default: on in front of the Python solvers, off in front of the native
+    C solver (``native=True``, see :func:`repro.sat.backend.is_native`),
+    whose solve time on the pipeline's formulas is smaller than one
+    pure-Python preprocessing pass."""
     if flag is not None:
         return bool(flag)
-    return os.environ.get("CHECKFENCE_SIMPLIFY", "1") != "0"
+    raw = os.environ.get("CHECKFENCE_SIMPLIFY", "")
+    if raw:
+        return raw != "0"
+    return not native
 
 
 #: Below this many clauses the preprocessing pass costs more wall-clock

@@ -140,13 +140,17 @@ class TestCheckFenceFacade:
 
 
 class TestSimplifyKnob:
+    # The default is on in front of the Python solver and off in front of
+    # the native one, so these sessions name the Python solver.
+    _PYTHON = {"solver_backend": "internal"}
+
     def test_session_resolves_and_keys_on_the_knob(self, monkeypatch):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
         implementation = get_implementation("msn")
         test = get_test("queue", "T0")
-        on_session = CheckSession(implementation, CheckOptions())
+        on_session = CheckSession(implementation, CheckOptions(**self._PYTHON))
         off_session = CheckSession(
-            implementation, CheckOptions(simplify=False)
+            implementation, CheckOptions(simplify=False, **self._PYTHON)
         )
         assert on_session.simplify is True
         assert off_session.simplify is False
@@ -163,13 +167,33 @@ class TestSimplifyKnob:
         session = CheckSession(get_implementation("msn"), CheckOptions())
         assert session.simplify is False
 
+    def test_default_is_off_in_front_of_the_native_solver(self, monkeypatch):
+        monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
+        implementation = get_implementation("msn")
+        session = CheckSession(
+            implementation, CheckOptions(solver_backend="auto")
+        )
+        if session.backend_factory().name != "native":
+            pytest.skip("the native solver cannot be built here")
+        assert session.simplify is False
+        assert CheckSession(
+            implementation, CheckOptions(solver_backend="auto", simplify=True)
+        ).simplify is True
+        monkeypatch.setenv("CHECKFENCE_SIMPLIFY", "1")
+        assert CheckSession(
+            implementation, CheckOptions(solver_backend="auto")
+        ).simplify is True
+
     def test_check_records_simplify_in_stats(self, monkeypatch):
         monkeypatch.delenv("CHECKFENCE_SIMPLIFY", raising=False)
-        session = CheckSession(get_implementation("msn"), CheckOptions())
+        session = CheckSession(
+            get_implementation("msn"), CheckOptions(**self._PYTHON)
+        )
         result = session.check(get_test("queue", "T0"), "sc")
         assert result.stats.simplify is True
         off = CheckSession(
-            get_implementation("msn"), CheckOptions(simplify=False)
+            get_implementation("msn"),
+            CheckOptions(simplify=False, **self._PYTHON),
         ).check(get_test("queue", "T0"), "sc")
         assert off.stats.simplify is False
         assert off.passed == result.passed

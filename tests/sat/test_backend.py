@@ -12,14 +12,16 @@ The differential suite checks random small CNFs three ways:
 
 from __future__ import annotations
 
+import ctypes.util
 import itertools
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from repro.sat import CNF
+from repro.sat import CNF, ipasir
 from repro.sat.backend import (
     BackendError,
     DimacsBackend,
@@ -194,8 +196,8 @@ class TestFallback:
 
 class TestBackendSpecs:
     def test_internal_specs(self):
-        for spec in ("auto", "internal", ""):
-            assert isinstance(make_backend_factory(spec)(), InternalBackend)
+        # "auto" and "" resolve to the native lane (tests/sat/test_native.py).
+        assert isinstance(make_backend_factory("internal")(), InternalBackend)
 
     def test_dimacs_spec_with_command(self):
         factory = make_backend_factory(
@@ -205,6 +207,25 @@ class TestBackendSpecs:
         assert isinstance(backend, DimacsBackend)
         backend.add_clause([1])
         assert backend.solve() is True
+
+    def test_ipasir_spec_probes_once(self, monkeypatch):
+        """Regression: the ``ipasir`` spec used to re-run the library probe
+        (one ``ldconfig``/``gcc`` fork per known solver name) and reload
+        the library for every backend it made, i.e. for every encode."""
+        monkeypatch.delenv(ipasir.IPASIR_LIB_ENV, raising=False)
+        ipasir._probe_known_libraries.cache_clear()
+        probes = Counter()
+
+        def find_library(name):
+            probes[name] += 1
+            return None
+
+        monkeypatch.setattr(ctypes.util, "find_library", find_library)
+        factory = make_backend_factory("ipasir")
+        backends = [factory() for _ in range(20)]
+        ipasir._probe_known_libraries.cache_clear()
+        assert len({b.name for b in backends}) == 1
+        assert probes and max(probes.values()) <= 1
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("CHECKFENCE_SOLVER", "internal")

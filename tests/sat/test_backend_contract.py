@@ -2,11 +2,11 @@
 
 Each backend family — internal CDCL, DIMACS subprocess (over the in-tree
 CLI, so no system solver is needed), IPASIR shared library (a C stub
-compiled on the fly with gcc), the incremental pipe, and the simplifying
-wrapper — must satisfy the same observable contract: solving under
-temporary assumptions, failed-assumption cores after UNSAT, incremental
-clause addition after both SAT and UNSAT verdicts, and ``values_of``
-agreement with ``model``.
+compiled on the fly with gcc), the native C solver behind the same IPASIR
+binding, the incremental pipe, and the simplifying wrapper — must satisfy
+the same observable contract: solving under temporary assumptions,
+failed-assumption cores after UNSAT, incremental clause addition after
+both SAT and UNSAT verdicts, and ``values_of`` agreement with ``model``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ import sys
 
 import pytest
 
-from repro.sat.backend import DimacsBackend, InternalBackend
+from repro.sat.backend import (
+    DimacsBackend,
+    InternalBackend,
+    is_native,
+    make_backend_factory,
+)
 from repro.sat.ipasir import IncrementalPipeBackend, IpasirBackend
 from repro.sat.simplify import SimplifyingBackend
 
@@ -55,7 +60,9 @@ def ipasir_stub_library(tmp_path_factory):
     return library
 
 
-BACKENDS = ["internal", "dimacs", "ipasir-lib", "ipasir-pipe", "simplify"]
+BACKENDS = [
+    "internal", "dimacs", "ipasir-lib", "native", "ipasir-pipe", "simplify",
+]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -68,6 +75,11 @@ def backend(request):
     elif kind == "ipasir-lib":
         library = request.getfixturevalue("ipasir_stub_library")
         made = IpasirBackend(library)
+    elif kind == "native":
+        factory = make_backend_factory("auto")
+        if not is_native(factory):
+            pytest.skip("the native solver cannot be built here")
+        made = factory()
     elif kind == "ipasir-pipe":
         made = IncrementalPipeBackend()
     else:
@@ -112,7 +124,9 @@ def test_formula_level_unsat_core_is_sound(backend, request):
     # unsatisfiable).  DIMACS and simple IPASIR solvers may
     # over-approximate with the full assumption set, which is sound.
     assert set(core) <= {1}
-    if request.node.callspec.params["backend"] in ("internal", "simplify"):
+    if request.node.callspec.params["backend"] in (
+        "internal", "native", "simplify",
+    ):
         assert core == []
 
 

@@ -3,9 +3,10 @@
 The low-level core/deletion contract lives in
 ``tests/sat/test_backend_contract.py``; this file asserts the end-to-end
 consequence: the *synthesized fence set* is identical whichever solver
-lane drives the search — internal CDCL, the external IPASIR-over-pipe
-solver, or the simplifying preprocessor wrapped around either (whose
-UNSAT cores must round-trip through its substitution-origin map).
+lane drives the search — internal CDCL, the native C solver, the external
+IPASIR-over-pipe solver, or the simplifying preprocessor wrapped around
+one of them (whose UNSAT cores must round-trip through its
+substitution-origin map).
 
 Different lanes produce different SAT witnesses and different (equally
 sound) UNSAT cores, so they can reach *different equal-cost optima*;
@@ -24,14 +25,23 @@ from repro.core.synthesize import synthesize_litmus
 from repro.datatypes.registry import get_implementation
 from repro.fuzz import FuzzProgram
 from repro.harness.catalog import get_test
-from repro.sat.backend import make_backend_factory
+from repro.sat.backend import is_native, make_backend_factory
 
 #: lane name -> (solver backend spec, simplify)
 LANES = {
     "internal": ("internal", False),
+    "native": ("auto", False),
     "ipasir-cli": ("ipasir:cli", False),
     "simplify": ("internal", True),
 }
+
+
+def _lanes() -> dict[str, tuple[str, bool]]:
+    """``auto`` is the native lane only where the C solver builds."""
+    if is_native(make_backend_factory("auto")):
+        return LANES
+    return {lane: spec for lane, spec in LANES.items() if lane != "native"}
+
 
 CATALOG_CELLS = [
     ("msn-unfenced", "queue", "T0", "relaxed"),
@@ -47,7 +57,7 @@ CATALOG_CELLS = [
 )
 def test_catalog_synthesis_agrees_across_lanes(impl, category, test, model):
     outcomes = {}
-    for lane, (solver, simplify) in LANES.items():
+    for lane, (solver, simplify) in _lanes().items():
         session = CheckSession(
             get_implementation(impl),
             CheckOptions(solver_backend=solver, simplify=simplify),
@@ -68,7 +78,7 @@ def test_catalog_synthesis_agrees_across_lanes(impl, category, test, model):
 def test_litmus_synthesis_agrees_across_lanes(spec, models):
     program = FuzzProgram.parse(spec)
     outcomes = {}
-    for lane, (solver, simplify) in LANES.items():
+    for lane, (solver, simplify) in _lanes().items():
         result = synthesize_litmus(
             program,
             models,
