@@ -71,9 +71,12 @@ class CompiledTest:
     # The encoder memoizes its model-independent skeleton on this object
     # (see repro.encoding.formula.skeleton_for); the skeleton holds live
     # circuit/CNF state and must never travel across process boundaries.
+    # The oracle's extracted traces (repro.oracle.trace.extract_traces)
+    # are dropped too: a worker re-extracts them once.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_encoding_skeleton", None)
+        state.pop("_oracle_traces", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

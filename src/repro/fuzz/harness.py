@@ -117,6 +117,7 @@ def run_fuzz_cell(cell: MatrixCell, options) -> "CellResult":
             "oracle_outcomes": len(report.oracle.outcomes),
             "sat_outcomes": len(report.sat_outcomes),
             "oracle_nodes": report.oracle.nodes,
+            "oracle_states": report.oracle.states,
             "oracle_traces": report.oracle.traces,
         })
     return CellResult(

@@ -315,7 +315,11 @@ def differential_check(
             outcomes=set(oracle.outcomes),
             reason=oracle.reason,
             seconds=time.perf_counter() - started,
-            stats={"nodes": oracle.nodes, "traces": oracle.traces},
+            stats={
+                "nodes": oracle.nodes,
+                "states": oracle.states,
+                "traces": oracle.traces,
+            },
         )
 
     if "rfcheck" in selected:

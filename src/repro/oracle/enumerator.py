@@ -32,11 +32,17 @@ operational machine that never touches the SAT stack:
 
 States reached by different interleavings but with the same performed set,
 memory view and token bindings have the same futures, so they are memoised;
-the search is exhaustive yet far below ``n!``.  The memo key is three
-packed integers (performed-set bitmask, memory view, bindings) built by
-flat loops over fixed per-run bit slots — canonical without sorting, and
-far cheaper than the tuple-of-sorted-tuples key it replaces, since key
-construction runs once per explored state.
+the search is exhaustive yet far below ``n!``.  The memo key packs the
+three into one integer (performed-set bits, one memory slot per accessed
+location, one binding slot per token) and is kept up to date as the search
+steps, never rebuilt: a perform sets its bit, a store replaces its
+location's slot, a new binding ORs in its token's slot (bindings are
+append-only).  Most successors are memo hits, so each is checked against
+the memo before any child dict is built or any constraint re-evaluated —
+a visited key's bindings already passed every constraint, and bindings a
+step leaves unchanged were checked at the parent.  ``nodes`` counts every
+successor that passes the constraints, hits included; ``states`` counts
+the distinct memoised states.
 
 Everything that exceeds a budget (trace steps, explored states, value
 domains) or falls outside the supported fragment yields an
@@ -58,11 +64,10 @@ from repro.oracle.trace import (
     OracleUnsupported,
     ProgramTrace,
     Token,
-    TraceExtractor,
     TraceLimitExceeded,
     Unresolved,
     eval_expr,
-    expr_tokens,
+    extract_traces,
 )
 
 #: Verdict statuses.
@@ -98,7 +103,10 @@ class OracleResult:
     value_mask: int = 0
     reason: str = ""
     traces: int = 0
+    #: Successors explored (memo hits included) and distinct memoised
+    #: states; ``1 - states / nodes`` is the memo-hit ratio.
     nodes: int = 0
+    states: int = 0
 
     @property
     def ok(self) -> bool:
@@ -179,7 +187,7 @@ def enumerate_outcomes(
         final_memories=set() if record_final_memory else None,
     )
     try:
-        traces = TraceExtractor(compiled, max_steps=max_steps).traces()
+        traces = extract_traces(compiled, max_steps)
     except (OracleUnsupported, TraceLimitExceeded) as exc:
         result.status = INCONCLUSIVE
         result.reason = str(exc)
@@ -202,11 +210,23 @@ def enumerate_outcomes(
             result.reason = f"exceeded {max_nodes} enumeration states"
             break
     result.nodes = enumerator.nodes
+    result.states = enumerator.states
     return result
 
 
 class _Enumerator:
-    """Depth-first enumeration of the memory orders of one trace."""
+    """Depth-first enumeration of the memory orders of one trace.
+
+    A search state is one integer with three packed fields: the
+    performed-set bitmask (bit ``eid`` per event), the memory view (one
+    ``stride``-bit slot per location the trace accesses) and the token
+    bindings (one slot per token, assigned on first sight).  A slot holds
+    ``value + 1`` so that absence (0) differs from a stored or bound 0.
+    Every value is masked where it enters — :func:`eval_expr`,
+    :meth:`_initial_value`, and the guess domains of :meth:`_domain` and
+    :meth:`_havoc_domain` (``range(mask + 1)`` or filtered to ``<= mask``)
+    — so ``value + 1`` always fits its slot and the key is canonical.
+    """
 
     def __init__(
         self,
@@ -222,8 +242,11 @@ class _Enumerator:
         self.max_domain = max_domain
         self.record_final_memory = record_final_memory
         self.nodes = 0
+        self.states = 0
         width = max(compiled.ranges.width(), 1)
         self.mask = (1 << width) - 1
+        self.stride = width + 1
+        self.field = (1 << self.stride) - 1
         if (1 << width) > max_domain:
             # Guessed tokens range over the full bit-vector domain; refuse
             # rather than explode (or silently under-approximate).
@@ -235,31 +258,27 @@ class _Enumerator:
 
     def run(self, trace: ProgramTrace, result: OracleResult) -> None:
         self.trace = trace
-        self.events = trace.events
-        self.n = len(self.events)
-        self._prepare_structure(trace)
-        self._init_tokens: dict[int, Token] = {}
-        self._visited: set = set()
         self._result = result
-        # Memo-key packing state: every location/token gets a bit slot of
-        # ``stride`` bits on first sight (first-seen order is deterministic
-        # within a run, which is all canonicality needs); a slot holds
-        # ``value + 1`` so absence (0) differs from a bound/stored 0.
-        self._stride = self.mask.bit_length() + 1
-        self._loc_shift: dict[int, int] = {}
-        self._token_shift: dict[Token, int] = {}
-        self._dfs(0, {}, {})
+        self._visited: set[int] = set()
+        self._prepare_structure(trace)
+        try:
+            self._count()
+            self._visited.add(0)
+            self._expand(0, {})
+        finally:
+            self.states += len(self._visited)
 
     def _prepare_structure(self, trace: ProgramTrace) -> None:
+        """Build the per-trace event table the DFS reads."""
         model = self.model
+        events = trace.events
         by_thread: dict[int, list[AccessEvent]] = {}
-        for event in self.events:
+        for event in events:
             by_thread.setdefault(event.thread, []).append(event)
         for members in by_thread.values():
             members.sort(key=lambda e: e.seq)
-        self.by_thread = by_thread
 
-        preds: list[int] = [0] * self.n  # predecessor bitmasks
+        preds: list[int] = [0] * len(events)  # predecessor bitmasks
         for members in by_thread.values():
             for i, first in enumerate(members):
                 for second in members[i + 1:]:
@@ -291,161 +310,205 @@ class _Enumerator:
             for second in after:
                 for first in before:
                     preds[second.eid] |= 1 << first.eid
-        self.preds = preds
 
-        self.init_mask = 0
-        for event in self.events:
-            if event.thread == INIT_THREAD:
-                self.init_mask |= 1 << event.eid
-
-        #: invocation / atomic-group member masks for the dynamic rules.
-        self.invocation_masks: dict[int, int] = {}
-        self.group_masks: dict[int, tuple[int, int]] = {}  # gid -> (mask, thread)
-        for event in self.events:
-            self.invocation_masks[event.invocation] = (
-                self.invocation_masks.get(event.invocation, 0) | 1 << event.eid
+        #: thread / invocation / atomic-group member masks for the dynamic
+        #: rules ("initialization happens first", atomic blocks, Seriality).
+        self.full_mask = (1 << len(events)) - 1
+        thread_masks: dict[int, int] = {}
+        invocation_masks: dict[int, int] = {}
+        group_masks: dict[int, tuple[int, int]] = {}  # gid -> (mask, thread)
+        for event in events:
+            bit = 1 << event.eid
+            thread_masks[event.thread] = thread_masks.get(event.thread, 0) | bit
+            invocation_masks[event.invocation] = (
+                invocation_masks.get(event.invocation, 0) | bit
             )
             if event.atomic_group is not None:
-                mask, _ = self.group_masks.get(
-                    event.atomic_group, (0, event.thread)
-                )
-                self.group_masks[event.atomic_group] = (
-                    mask | 1 << event.eid, event.thread
-                )
+                mask, _ = group_masks.get(event.atomic_group, (0, event.thread))
+                group_masks[event.atomic_group] = (mask | bit, event.thread)
+        self.init_mask = thread_masks.get(INIT_THREAD, 0)
+        self.group_masks = [
+            (mask, thread_masks[thread]) for mask, thread in group_masks.values()
+        ]
+        self.invocation_masks = (
+            list(invocation_masks.values())
+            if model.operation_atomicity else []
+        )
 
-        #: per-load forwarding candidates (program-order-earlier same-thread
-        #: same-address stores), newest first.
-        self.forward_candidates: dict[int, list[AccessEvent]] = {}
-        if model.store_forwarding:
-            for members in by_thread.values():
-                for event in members:
-                    if not event.is_load:
-                        continue
+        #: Key layout: performed-set bits first, then one memory slot per
+        #: accessed location, then binding slots handed out on first sight.
+        stride = self.stride
+        self._loc_shift: dict[int, int] = {}
+        for event in events:
+            if event.addr not in self._loc_shift:
+                self._loc_shift[event.addr] = (
+                    len(events) + len(self._loc_shift) * stride
+                )
+        self._next_shift = len(events) + len(self._loc_shift) * stride
+        self._token_shift: dict[Token, int] = {}
+        self._init_tokens: dict[int, Token] = {}
+
+        self._completion_tokens = trace.completion_tokens()
+
+        #: The event table: ``(bit, preds, row)`` in event order, where
+        #: ``row`` holds what performing the event needs.  A store's row is
+        #: ``(True, slot shift, clear mask, constant value or None, value
+        #: expr)``; a load's is ``(False, slot shift, token, token shift,
+        #: forwarding sources, initial value)``, the forwarding sources
+        #: (program-order-earlier same-thread same-address stores, newest
+        #: first) as ``(bit, constant value or None, value expr)``.
+        rows = []
+        for event in events:
+            shift = self._loc_shift[event.addr]
+            if event.is_store:
+                row = (
+                    True, shift, ~(self.field << shift),
+                    self._constant(event.value), event.value,
+                )
+            else:
+                forward = ()
+                if model.store_forwarding:
                     candidates = [
-                        s for s in members
+                        s for s in by_thread[event.thread]
                         if s.is_store and s.seq < event.seq
                         and s.addr == event.addr
                     ]
-                    if candidates:
-                        if not model.same_address_store_order and len(candidates) > 1:
-                            raise OracleUnsupported(
-                                "store forwarding without the same-address "
-                                "store-order axiom is ambiguous; not supported"
-                            )
-                        candidates.sort(key=lambda s: s.seq, reverse=True)
-                        self.forward_candidates[event.eid] = candidates
+                    if len(candidates) > 1 and not model.same_address_store_order:
+                        raise OracleUnsupported(
+                            "store forwarding without the same-address "
+                            "store-order axiom is ambiguous; not supported"
+                        )
+                    candidates.sort(key=lambda s: s.seq, reverse=True)
+                    forward = tuple(
+                        (1 << s.eid, self._constant(s.value), s.value)
+                        for s in candidates
+                    )
+                row = (
+                    False, shift, event.value, self._slot(event.value),
+                    forward, self._initial_value(event.addr),
+                )
+            rows.append((1 << event.eid, preds[event.eid], row))
+        self.rows = rows
+        self._constraints = trace.constraints
+
+    def _constant(self, expr) -> int | None:
+        return expr & self.mask if isinstance(expr, int) else None
+
+    def _slot(self, token: Token) -> int:
+        shift = self._token_shift.get(token)
+        if shift is None:
+            shift = self._next_shift
+            self._next_shift += self.stride
+            self._token_shift[token] = shift
+        return shift
+
+    def _bits(self, new) -> int:
+        """The key bits of freshly bound ``(token, value)`` pairs."""
+        bits = 0
+        for token, value in new:
+            bits |= (value + 1) << self._slot(token)
+        return bits
 
     # ------------------------------------------------------------------- DFS
 
-    def _dfs(self, mask: int, memory: dict[int, int], bindings: dict) -> None:
+    def _count(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise _BudgetExceeded()
-        if self.nodes & 1023 == 0:
+        if not self.nodes & 1023:
             limits.check_deadline()
-        stride = self._stride
-        max_value = self.mask
-        packable = True
-        mem_key = 0
-        loc_shift = self._loc_shift
-        for loc, value in memory.items():
-            if not 0 <= value <= max_value:
-                packable = False
+
+    def _expand(self, state: int, bindings: dict) -> None:
+        """Perform each enabled event from a new state."""
+        full = self.full_mask
+        mask = state & full
+        if mask == full:
+            self._complete(state, bindings)
+            return
+        pending = full ^ mask
+        enabled = pending
+        if self.init_mask & pending:
+            enabled &= self.init_mask
+        for gmask, tmask in self.group_masks:
+            if gmask & mask and gmask & pending:
+                # An open atomic block excludes other threads' accesses.
+                enabled &= tmask
+        for imask in self.invocation_masks:
+            if imask & mask and imask & pending:
+                enabled &= imask
                 break
-            shift = loc_shift.get(loc)
-            if shift is None:
-                shift = len(loc_shift) * stride
-                loc_shift[loc] = shift
-            mem_key |= (value + 1) << shift
-        bind_key = 0
-        if packable:
-            token_shift = self._token_shift
-            for token, value in bindings.items():
-                if not 0 <= value <= max_value:
-                    packable = False
-                    break
-                shift = token_shift.get(token)
-                if shift is None:
-                    shift = len(token_shift) * stride
-                    token_shift[token] = shift
-                bind_key |= (value + 1) << shift
-        if packable:
-            key = (mask, mem_key, bind_key)
-        else:
-            # Out-of-range value (defensive; eval_expr masks everything):
-            # fall back to the canonical-by-sorting tuple key.
-            key = (
-                mask,
-                tuple(sorted(memory.items())),
-                tuple(sorted((t.index, v) for t, v in bindings.items())),
-            )
-        if key in self._visited:
-            return
-        self._visited.add(key)
-        if mask == (1 << self.n) - 1:
-            self._complete(memory, bindings)
-            return
 
-        init_pending = self.init_mask & ~mask
-        open_groups = [
-            thread for gmask, thread in self.group_masks.values()
-            if gmask & mask and gmask & ~mask
-        ]
-        open_invocation = None
-        if self.model.operation_atomicity:
-            for invocation, imask in self.invocation_masks.items():
-                if imask & mask and imask & ~mask:
-                    open_invocation = invocation
-                    break
-
-        for event in self.events:
-            bit = 1 << event.eid
-            if mask & bit:
+        visited = self._visited
+        field = self.field
+        for bit, preds, row in self.rows:
+            if not enabled & bit or preds & pending:
                 continue
-            if self.preds[event.eid] & ~mask:
-                continue
-            if init_pending and event.thread != INIT_THREAD:
-                continue
-            if open_invocation is not None and event.invocation != open_invocation:
-                continue
-            if open_groups and any(t != event.thread for t in open_groups):
-                continue
-            self._perform(event, mask | bit, memory, bindings)
-
-    def _perform(self, event: AccessEvent, new_mask: int,
-                 memory: dict[int, int], bindings: dict) -> None:
-        if event.is_store:
-            for new_bindings, value in self._resolve(event.value, bindings):
-                if not self._constraints_hold(new_bindings):
+            performed = state | bit
+            if row[0]:
+                _, shift, clear, constant, expr = row
+                performed &= clear
+                if constant is not None:
+                    child = performed | (constant + 1) << shift
+                    if child in visited:
+                        self._count()
+                    else:
+                        self._enter(child, bindings, ())
                     continue
-                self._dfs(new_mask, {**memory, event.addr: value}, new_bindings)
-            return
-
-        # A load: find the <M-maximal visible store (paper's value axiom).
-        pending = [
-            s for s in self.forward_candidates.get(event.eid, ())
-            if not new_mask & (1 << s.eid)
-        ]
-        if pending:
-            # Store-queue forwarding: the newest pending program-order-
-            # earlier store is visible and performs later than everything
-            # already performed, so it is the <M-maximal visible store.
-            variants = self._resolve(pending[0].value, bindings)
-        elif event.addr in memory:
-            variants = [(bindings, memory[event.addr])]
-        else:
-            variants = self._initial_values(event.addr, bindings)
-        token = event.value
-        for new_bindings, value in variants:
-            bound = new_bindings.get(token)
-            if bound is not None:
-                if bound != value:
-                    continue  # a guessed value turned out wrong: prune
-            else:
-                new_bindings = {**new_bindings, token: value}
-            if not self._constraints_hold(new_bindings):
+                for value, new in self._resolve(expr, bindings):
+                    child = performed | (value + 1) << shift
+                    if new:
+                        child |= self._bits(new)
+                    if child in visited:
+                        self._count()
+                    else:
+                        self._enter(child, bindings, new)
                 continue
-            self._dfs(new_mask, memory, new_bindings)
+
+            # A load: find the <M-maximal visible store (paper's value axiom).
+            _, shift, token, token_shift, forward, initial = row
+            for source_bit, constant, expr in forward:
+                if not state & source_bit:
+                    # Store-queue forwarding: the newest pending program-
+                    # order-earlier store is visible and performs later than
+                    # everything already performed, so it is the <M-maximal
+                    # visible store.
+                    variants = (
+                        ((constant, ()),) if constant is not None
+                        else self._resolve(expr, bindings)
+                    )
+                    break
+            else:
+                stored = (state >> shift) & field
+                if stored:
+                    variants = ((stored - 1, ()),)
+                elif initial.__class__ is int:
+                    variants = ((initial, ()),)
+                else:
+                    variants = self._initial_variants(initial, bindings)
+            bound = bindings.get(token)
+            for value, new in variants:
+                child = performed | self._bits(new) if new else performed
+                if bound is None:
+                    child |= (value + 1) << token_shift
+                elif bound != value:
+                    continue  # a guessed value turned out wrong: prune
+                if child in visited:
+                    self._count()
+                elif bound is None:
+                    self._enter(child, bindings, new + ((token, value),))
+                else:
+                    self._enter(child, bindings, new)
+
+    def _enter(self, state: int, bindings: dict, new) -> None:
+        """Visit a successor not yet memoised.  Only freshly bound tokens
+        can falsify a constraint: the parent's bindings already passed."""
+        if new:
+            bindings = {**bindings, **dict(new)}
+            if self._constraints and not self._constraints_hold(bindings):
+                return
+        self._count()
+        self._visited.add(state)
+        self._expand(state, bindings)
 
     # -------------------------------------------------------------- plumbing
 
@@ -468,27 +531,33 @@ class _Enumerator:
             )
         return range(self.domain_size)
 
-    def _resolve(self, expr, bindings: dict):
-        """All ``(bindings, value)`` completions of an expression, guessing
-        unbound tokens over the bounded domain."""
+    def _resolve(self, expr, bindings: dict) -> list[tuple[int, tuple]]:
+        """All ``(value, new bindings)`` completions of an expression,
+        guessing unbound tokens over the bounded domain.  Guesses are bound
+        in ``bindings`` only while the expression is evaluated."""
         try:
-            return [(bindings, eval_expr(expr, bindings, self.mask))]
+            return [(eval_expr(expr, bindings, self.mask), ())]
         except Unresolved as exc:
             token = exc.token
         out = []
-        for guess in self._domain(token):
-            out.extend(self._resolve(expr, {**bindings, token: guess}))
+        try:
+            for guess in self._domain(token):
+                bindings[token] = guess
+                for value, new in self._resolve(expr, bindings):
+                    out.append((value, ((token, guess),) + new))
+        finally:
+            bindings.pop(token, None)
         return out
 
-    def _initial_values(self, location: int, bindings: dict):
-        """The initial value of a location, mirroring
+    def _initial_value(self, location: int) -> int | Token:
+        """The initial value of a location — concrete, or the token of a
+        havoc'd cell — mirroring
         :meth:`repro.encoding.formula.EncodingContext.initial_value`."""
         info = self.compiled.layout.info(location)
         if not is_undef(info.initial):
-            return [(bindings, int(info.initial) & self.mask)]
-        policy = self.trace.policies.get(location, "havoc")
-        if policy == "zero":
-            return [(bindings, 0)]
+            return int(info.initial) & self.mask
+        if self.trace.policies.get(location, "havoc") == "zero":
+            return 0
         token = self._init_tokens.get(location)
         if token is None:
             token = Token(
@@ -496,16 +565,16 @@ class _Enumerator:
                 domain=self._havoc_domain(location),
             )
             self._init_tokens[location] = token
+        return token
+
+    def _initial_variants(self, token: Token, bindings: dict):
         if token in bindings:
-            return [(bindings, bindings[token])]
-        return [
-            ({**bindings, token: value}, value)
-            for value in self._domain(token)
-        ]
+            return ((bindings[token], ()),)
+        return [(value, ((token, value),)) for value in self._domain(token)]
 
     def _constraints_hold(self, bindings: dict) -> bool:
         """Check every path constraint that is now evaluable."""
-        for constraint in self.trace.constraints:
+        for constraint in self._constraints:
             try:
                 if not eval_expr(constraint, bindings, self.mask):
                     return False
@@ -515,18 +584,12 @@ class _Enumerator:
 
     # ------------------------------------------------------------ completion
 
-    def _complete(self, memory: dict[int, int], bindings: dict) -> None:
+    def _complete(self, state: int, bindings: dict) -> None:
         # Any tokens still unbound (free values never forced by a load, or
         # havoc'd initials only visible through observations) range over
         # their full domains — same as the encoder's unconstrained fresh
         # bit-vectors.
-        unbound: list[Token] = []
-        seen: set[Token] = set()
-        for expr in list(self.trace.observations) + list(self.trace.constraints):
-            for token in expr_tokens(expr):
-                if token not in bindings and token not in seen:
-                    seen.add(token)
-                    unbound.append(token)
+        unbound = [t for t in self._completion_tokens if t not in bindings]
         domains = [list(self._domain(token)) for token in unbound]
         for values in product(*domains) if domains else [()]:
             full = {**bindings, **dict(zip(unbound, values))}
@@ -539,16 +602,18 @@ class _Enumerator:
             self._result.outcomes.add(outcome)
             if self._result.final_memories is not None:
                 self._result.final_memories.add(
-                    self._final_memory(memory, full)
+                    self._final_memory(state, full)
                 )
 
-    def _final_memory(self, memory: dict[int, int],
+    def _final_memory(self, state: int,
                       bindings: dict) -> tuple[tuple[int, int | None], ...]:
         image = []
         layout = self.compiled.layout
         for location in layout.valid_indices():
-            if location in memory:
-                image.append((location, memory[location]))
+            shift = self._loc_shift.get(location)
+            stored = (state >> shift) & self.field if shift is not None else 0
+            if stored:
+                image.append((location, stored - 1))
                 continue
             info = layout.info(location)
             if not is_undef(info.initial):

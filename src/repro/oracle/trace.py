@@ -213,6 +213,15 @@ class ProgramTrace:
     policies: dict[int, str]    # location -> "zero" | "havoc" | "undef"
     choices: tuple[int, ...]    # the Choose values taken on this path
 
+    def completion_tokens(self) -> list[Token]:
+        """Every token the observations and constraints mention, once each:
+        the tokens an engine must range over freely when an execution
+        completes without binding them."""
+        tokens: dict[Token, None] = {}
+        for expr in self.observations + self.constraints:
+            tokens.update(dict.fromkeys(expr_tokens(expr)))
+        return list(tokens)
+
 
 class _ThreadState:
     __slots__ = ("thread", "regs", "seq", "atomic_stack")
@@ -499,3 +508,32 @@ class TraceExtractor:
             return eval_expr(expr, {}, self._mask())
         except Unresolved:
             return expr
+
+
+#: Attribute under which a compiled test memoizes its extracted traces, a
+#: ``max_steps -> traces or extraction error`` map.  Like the encoding
+#: skeleton it lives and dies with the compiled test, and
+#: ``CompiledTest.__getstate__`` drops it from pickles.
+_TRACES_ATTR = "_oracle_traces"
+
+
+def extract_traces(compiled: CompiledTest,
+                   max_steps: int = 100_000) -> list[ProgramTrace]:
+    """``TraceExtractor(compiled, max_steps).traces()``, extracted once per
+    compiled test and step budget and shared by every engine and model.
+
+    An extraction that raises :class:`OracleUnsupported` or
+    :class:`TraceLimitExceeded` re-raises the same error on every call.
+    Callers must treat the returned traces as read-only.
+    """
+    memo = compiled.__dict__.setdefault(_TRACES_ATTR, {})
+    found = memo.get(max_steps)
+    if found is None:
+        try:
+            found = TraceExtractor(compiled, max_steps=max_steps).traces()
+        except (OracleUnsupported, TraceLimitExceeded) as exc:
+            found = exc
+        memo[max_steps] = found
+    if isinstance(found, Exception):
+        raise found.with_traceback(None)
+    return found

@@ -40,11 +40,11 @@ from repro.oracle.trace import (
     OracleUnsupported,
     ProgramTrace,
     Token,
-    TraceExtractor,
     TraceLimitExceeded,
     Unresolved,
     eval_expr,
     expr_tokens,
+    extract_traces,
 )
 from repro.rfcheck.closure import ClosureBudgetExceeded, Gas, OrderClosure
 from repro.rfcheck.relations import RfCandidate, RfStructure, RfUnsupported
@@ -96,7 +96,7 @@ def rfcheck_outcomes(
     model = get_model(model)
     result = RfCheckResult(status=OK, model=model.name)
     try:
-        traces = TraceExtractor(compiled, max_steps=max_steps).traces()
+        traces = extract_traces(compiled, max_steps)
     except (OracleUnsupported, TraceLimitExceeded) as exc:
         result.status = INCONCLUSIVE
         result.reason = str(exc)
@@ -183,6 +183,7 @@ class _TraceMiner:
         self.loads = sorted(
             structure.loads, key=lambda l: (len(self.cands[l.eid]), l.eid)
         )
+        self.completion_tokens = self.trace.completion_tokens()
         self._dfs(0, structure.base.clone(), {})
 
     # ------------------------------------------------------------------ DFS
@@ -261,13 +262,7 @@ class _TraceMiner:
     def _complete(self, bindings: dict) -> None:
         """Enumerate still-unbound observation/constraint tokens, exactly
         like the enumerator's completion."""
-        unbound: list[Token] = []
-        seen: set[Token] = set()
-        for expr in list(self.trace.observations) + list(self.trace.constraints):
-            for token in expr_tokens(expr):
-                if token not in bindings and token not in seen:
-                    seen.add(token)
-                    unbound.append(token)
+        unbound = [t for t in self.completion_tokens if t not in bindings]
         domains = [list(self._domain(token)) for token in unbound]
         for values in product(*domains) if domains else [()]:
             self.gas.spend()
