@@ -271,6 +271,7 @@ class SynthesisStatistics:
     deletion_solves: int = 0
     exact_solves: int = 0
     canonical_solves: int = 0
+    entailed_trials: int = 0    # canonical swaps refuted by a recorded witness
     correction_sets: int = 0
 
     def as_dict(self) -> dict:
@@ -282,6 +283,7 @@ class SynthesisStatistics:
             "deletion_solves": self.deletion_solves,
             "exact_solves": self.exact_solves,
             "canonical_solves": self.canonical_solves,
+            "entailed_trials": self.entailed_trials,
             "correction_sets": self.correction_sets,
         }
 
@@ -492,6 +494,12 @@ class CoreGuidedSearch:
         Replacement candidates are drawn from the correction sets the
         removed fence hits: a working swap must cover exactly what the
         removed fence covered, so it shares a correction set with it.
+
+        A trial set disjoint from some recorded correction set is refuted
+        without a solve: the witness behind that set runs with every fence
+        of the trial enabled, so the trial cannot be sufficient.  (Only
+        here: in :meth:`_destructive_deletion` the skipped solves would
+        have recorded the witnesses the later phases draw on.)
         """
         changed = True
         while changed:
@@ -509,6 +517,10 @@ class CoreGuidedSearch:
                     if replacement is None or replacement.cost > fence.cost:
                         continue
                     trial = (working - {label}) | {other}
+                    if any(trial.isdisjoint(correction)
+                           for correction in self._correction_sets):
+                        self.stats.entailed_trials += 1
+                        continue
                     before = self.stats.solves
                     ok, _ = self._sufficient(trial)
                     self.stats.canonical_solves += self.stats.solves - before

@@ -47,6 +47,7 @@ from repro.sat.backend import (
 )
 from repro.sat.bitvec import BitVec, BitVecBuilder
 from repro.sat.circuit import Circuit, CnfLowering
+from repro.sat.cnf import split_clauses
 from repro.sat.simplify import (
     ENUMERATION_MIN_CLAUSES,
     SimplifyingBackend,
@@ -329,14 +330,19 @@ class EncodedTest:
         #: solving (see :mod:`repro.sat.simplify`).
         self.simplify = simplify
         self._backend: SolverBackend | None = None
+        #: Sync cursor: how much of the CNF the backend already holds, as
+        #: a buffer offset and the clause count up to it.
+        self._synced_literals = 0
         self._synced_clauses = 0
         self._not_in_guards: dict[frozenset, int] = {}
         #: Assumption literal -> circuit handle of the most recent solve,
         #: for mapping failed-assumption cores back to handles.
         self._assumed_handles: dict[int, int] = {}
         #: Per-slot observation bit plan (constants and CNF literals),
-        #: built lazily for the projected enumeration paths.
+        #: built lazily for the projected enumeration paths, and the
+        #: variables of its literals (what a decode reads from the model).
         self._obs_plan: list[list[bool | int]] | None = None
+        self._obs_vars: list[int] = []
 
     # ------------------------------------------------------------ solver use
 
@@ -361,13 +367,24 @@ class EncodedTest:
                 # never grows the formula.
                 backend.freeze(self.frozen_variables())
             self._backend = backend
+        backend = self._backend
         cnf = self.cnf
-        self._backend.ensure_vars(cnf.num_vars)
-        if self._synced_clauses < len(cnf.clauses):
-            # CNF clauses are already normalized, so the bulk path applies.
-            self._backend.add_clauses(cnf.clauses[self._synced_clauses:])
-            self._synced_clauses = len(cnf.clauses)
-        return self._backend
+        backend.ensure_vars(cnf.num_vars)
+        count = cnf.num_clauses - self._synced_clauses
+        if count:
+            # The unsent tail is one slice of the CNF's 0-terminated
+            # buffer.  A native backend takes it as is; the others get
+            # tuples (CNF clauses are already normalized, so their bulk
+            # paths apply).
+            literals = cnf.literals_since(self._synced_literals)
+            add_buffer = getattr(backend, "add_clause_buffer", None)
+            if add_buffer is not None:
+                add_buffer(literals, count)
+            else:
+                backend.add_clauses(split_clauses(literals, count))
+            self._synced_literals = cnf.buffer_size
+            self._synced_clauses = cnf.num_clauses
+        return backend
 
     def frozen_variables(self) -> set[int]:
         """CNF variables the pipeline mentions *after* the first solve, so
@@ -506,6 +523,10 @@ class EncodedTest:
                         bits.append(literal(bit))
                 plan.append(bits)
             self._obs_plan = plan
+            self._obs_vars = sorted({
+                abs(bit) for bits in plan for bit in bits
+                if not isinstance(bit, bool)
+            })
         return self._obs_plan
 
     def projected_blocking_clause(
@@ -592,11 +613,7 @@ class EncodedTest:
         if self._backend is None:
             raise RuntimeError("solve() has not produced a model yet")
         plan = self._observation_bit_plan()
-        wanted = {
-            abs(bit) for bits in plan for bit in bits
-            if not isinstance(bit, bool)
-        }
-        values = self._backend.values_of(wanted)
+        values = self._backend.values_of(self._obs_vars)
         out: list[int] = []
         for bits in plan:
             value = 0

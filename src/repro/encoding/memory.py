@@ -490,9 +490,7 @@ class MemoryModelEncoder:
         # `append` is bound once — this loop dominates layer time on the
         # larger tests.
         buf: list[int] = []
-        lengths: list[int] = []
         push = buf.append
-        push_len = lengths.append
         count = 0
         for v, a, b in triangles:
             row = v * n_acc
@@ -501,33 +499,25 @@ class MemoryModelEncoder:
             e3 = edges[row + b]  # v <M b
             # cycle v -> a -> b -> v: not(e1 and e2 and not e3)
             if not (e1 is False or e2 is False or e3 is True):
-                n = 0
                 if e1 is not True:
                     push(-e1)
-                    n += 1
                 if e2 is not True:
                     push(-e2)
-                    n += 1
                 if e3 is not False:
                     push(e3)
-                    n += 1
-                push_len(n)
+                push(0)
                 count += 1
             # cycle v -> b -> a -> v: not(e3 and not e2 and not e1)
             if not (e3 is False or e2 is True or e1 is True):
-                n = 0
                 if e3 is not True:
                     push(-e3)
-                    n += 1
                 if e2 is not False:
                     push(e2)
-                    n += 1
                 if e1 is not False:
                     push(e1)
-                    n += 1
-                push_len(n)
+                push(0)
                 count += 1
-        self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+        self.ctx.lowering.cnf.add_clauses_trusted_flat(buf)
         self.transitivity_clause_count += count
 
     # ---------------------------------------------------------- pair streams
@@ -739,35 +729,30 @@ class MemoryModelEncoder:
         false_handle = Circuit.FALSE
         lit_of: dict[int, int] = {}
         buf: list[int] = []
-        lengths: list[int] = []
         push = buf.append
-        push_len = lengths.append
         for first, second, other in self._atomic_exclusion_triples():
             first_other = handles.get((first.index, other.index))
             other_second = handles.get((other.index, second.index))
             if first_other == false_handle or other_second == false_handle:
                 continue  # one of the two orders is statically impossible
-            count = 0
             if first_other != true_handle:
                 lit = lit_of.get(first_other)
                 if lit is None:
                     lit = literal(first_other)
                     lit_of[first_other] = lit
                 push(-lit)
-                count += 1
             if other_second != true_handle:
                 lit = lit_of.get(other_second)
                 if lit is None:
                     lit = literal(other_second)
                     lit_of[other_second] = lit
                 push(-lit)
-                count += 1
-            # count == 0 (both orders statically forced) appends the empty
-            # clause, marking the formula unsatisfiable exactly as the
-            # generic path did.
-            push_len(count)
-        if lengths:
-            self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+            # A lone terminator (both orders statically forced) appends the
+            # empty clause, marking the formula unsatisfiable exactly as
+            # the generic path did.
+            push(0)
+        if buf:
+            self.ctx.lowering.cnf.add_clauses_trusted_flat(buf)
 
     def _assert_init_first(self) -> None:
         circuit_true = self.ctx.circuit.TRUE
@@ -795,9 +780,7 @@ class MemoryModelEncoder:
         false_handle = Circuit.FALSE
         lit_of: dict[int, int] = {}
         buf: list[int] = []
-        lengths: list[int] = []
         push = buf.append
-        push_len = lengths.append
         for group_a, group_b in self._invocation_group_pairs():
             first_inv = group_a[0].invocation
             second_inv = group_b[0].invocation
@@ -808,10 +791,10 @@ class MemoryModelEncoder:
                     handle = handles[(x_index, y.index)]
                     if handle == true_handle:
                         push(op_lit)
-                        push_len(1)
+                        push(0)
                     elif handle == false_handle:
                         push(-op_lit)
-                        push_len(1)
+                        push(0)
                     else:
                         lit = lit_of.get(handle)
                         if lit is None:
@@ -819,12 +802,12 @@ class MemoryModelEncoder:
                             lit_of[handle] = lit
                         push(-lit)
                         push(op_lit)
-                        push_len(2)
+                        push(0)
                         push(lit)
                         push(-op_lit)
-                        push_len(2)
-        if lengths:
-            self.ctx.lowering.cnf.add_clauses_trusted_flat(buf, lengths)
+                        push(0)
+        if buf:
+            self.ctx.lowering.cnf.add_clauses_trusted_flat(buf)
 
     # ---------------------------------------------------------- value axioms
 

@@ -60,7 +60,13 @@ class BackendError(RuntimeError):
 
 @runtime_checkable
 class SolverBackend(Protocol):
-    """The solving surface the checking pipeline relies on."""
+    """The solving surface the checking pipeline relies on.
+
+    A backend may also offer ``add_clause_buffer(literals, clauses)``,
+    taking clauses in the 0-terminated :class:`CNF` storage format
+    (:class:`repro.sat.ipasir.IpasirBackend` does);
+    :class:`repro.encoding.formula.EncodedTest` prefers it when present.
+    """
 
     name: str
 

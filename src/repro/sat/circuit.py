@@ -268,9 +268,7 @@ class CnfLowering:
         cnf = self.cnf
         node_of = self.circuit.node
         buf: list[int] = []
-        lengths: list[int] = []
         push = buf.append
-        push_len = lengths.append
         stack = [index]
         while stack:
             node_index = stack[-1]
@@ -302,14 +300,14 @@ class CnfLowering:
             for lit in child_lits:
                 push(-out_var)
                 push(lit)
-                push_len(2)
+                push(0)
             # (AND children) -> out
             push(out_var)
             for lit in child_lits:
                 push(-lit)
-            push_len(len(child_lits) + 1)
+            push(0)
         if buf:
-            cnf.add_clauses_trusted_flat(buf, lengths)
+            cnf.add_clauses_trusted_flat(buf)
         return n2v[index]
 
     def assert_true(self, handle: int) -> None:

@@ -5,15 +5,22 @@ Literals follow the DIMACS convention: a variable is a positive integer
 negation).  :class:`CNF` is the clause database that the rest of the system
 builds and that :class:`repro.sat.solver.Solver` consumes.
 
-Clauses are stored in two flat ``array`` buffers — one holding every
-literal back to back and one holding the cumulative end offset of each
-clause — rather than a list of tuples.  That keeps the per-clause overhead
-at a few machine words and, more importantly, makes :meth:`CNF.copy` an
-``array``-level memcpy, which is what lets the encoder snapshot a shared
-formula skeleton once per memory model at negligible cost.  The
-:attr:`CNF.clauses` attribute is preserved as a sequence view that yields
-tuples, so existing consumers (``for clause in cnf.clauses``,
-``cnf.clauses[n:]``, ``len(cnf.clauses)``) keep working unchanged.
+Clauses are stored in one flat ``array('i')``, each clause's literals
+followed by a terminating 0 — the IPASIR wire format, which is exactly
+what the native solver's bulk entry point ``ipasirx_add_clauses`` reads
+(see :mod:`repro.sat.ipasir`).  That keeps the per-clause overhead at one
+machine word, makes :meth:`CNF.copy` an ``array``-level memcpy (the encoder
+snapshots a shared formula skeleton once per memory model), and lets
+:class:`repro.encoding.formula.EncodedTest` hand every clause not yet sent
+to the native solver over as one buffer slice (:meth:`CNF.literals_since`)
+with no per-clause Python work.  A clause count is kept alongside, so
+``len`` stays O(1); there is no per-clause offset index.
+
+The :attr:`CNF.clauses` attribute is a sequence view that yields tuples,
+so consumers that want clauses one at a time (``for clause in
+cnf.clauses``, ``len(cnf.clauses)``) — the pure-Python solver, the
+preprocessor, DIMACS export — keep working unchanged; :func:`split_clauses`
+does the same for a buffer slice.
 """
 
 from __future__ import annotations
@@ -37,47 +44,39 @@ def sign_of(literal: int) -> bool:
     return literal > 0
 
 
-class ClauseView(Sequence):
-    """Read-only sequence of clauses over the flat literal buffers.
+def split_clauses(literals: array, count: int) -> Iterator[tuple[int, ...]]:
+    """Yield the first ``count`` 0-terminated clauses of ``literals`` as
+    tuples.  Each tuple is collected at C speed: ``iter(next_literal, 0)``
+    stops at the terminator."""
+    next_literal = iter(literals).__next__
+    for _ in range(count):
+        yield tuple(iter(next_literal, 0))
 
-    Indexing and iteration materialize tuples on demand, so the view is
+
+class ClauseView(Sequence):
+    """Read-only sequence of clauses over the flat literal buffer.
+
+    Iteration materializes tuples on demand, so the view is
     interchangeable with the ``list[tuple[int, ...]]`` the clause store
     used to be.  The view is *live*: clauses added to the owning
     :class:`CNF` after the view was obtained are visible through it.
+    Indexing walks the buffer from the start (there is no offset index);
+    nothing on a hot path indexes clauses.
     """
 
-    __slots__ = ("_lits", "_ends")
+    __slots__ = ("_cnf",)
 
-    def __init__(self, lits: array, ends: array) -> None:
-        self._lits = lits
-        self._ends = ends
+    def __init__(self, cnf: "CNF") -> None:
+        self._cnf = cnf
 
     def __len__(self) -> int:
-        return len(self._ends)
-
-    def _clause(self, index: int) -> tuple[int, ...]:
-        start = self._ends[index - 1] if index else 0
-        return tuple(self._lits[start:self._ends[index]])
+        return self._cnf._count
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [
-                self._clause(i)
-                for i in range(*index.indices(len(self._ends)))
-            ]
-        n = len(self._ends)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("clause index out of range")
-        return self._clause(index)
+        return list(self)[index]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        lits = self._lits
-        start = 0
-        for end in self._ends:
-            yield tuple(lits[start:end])
-            start = end
+        return split_clauses(self._cnf._lits, self._cnf._count)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClauseView({len(self)} clauses)"
@@ -86,21 +85,27 @@ class ClauseView(Sequence):
 class CNF:
     """A growable CNF formula (clause database plus variable allocator)."""
 
-    __slots__ = ("num_vars", "_lits", "_ends", "names")
+    __slots__ = ("num_vars", "_lits", "_count", "names")
 
     def __init__(self, num_vars: int = 0) -> None:
         self.num_vars = num_vars
-        #: Flat literal buffer: every clause's literals back to back.
+        #: Flat literal buffer: every clause's literals followed by a 0.
         self._lits: array = array("i")
-        #: Cumulative end offset of clause ``i`` within ``_lits``.
-        self._ends: array = array("q")
+        #: Number of clauses (terminating zeros) in ``_lits``.
+        self._count = 0
         #: Optional human-readable names for variables (for trace decoding).
         self.names: dict[int, str] = {}
 
     @property
     def clauses(self) -> ClauseView:
         """The clauses as a live, tuple-yielding sequence view."""
-        return ClauseView(self._lits, self._ends)
+        return ClauseView(self)
+
+    def literals_since(self, offset: int) -> array:
+        """The 0-terminated clauses from buffer offset ``offset`` (a
+        clause boundary: an earlier :attr:`buffer_size`) to the end, as
+        one ``array('i')`` slice in the IPASIR wire format."""
+        return self._lits[offset:]
 
     def new_var(self, name: str | None = None) -> int:
         """Allocate a fresh variable and return it (a positive integer)."""
@@ -142,8 +147,9 @@ class CNF:
                 seen.add(lit)
                 out.append(lit)
         self.num_vars = num_vars
+        out.append(0)
         self._lits.extend(out)
-        self._ends.append(len(self._lits))
+        self._count += 1
 
     def add_clause_trusted(self, literals) -> None:
         """Append a clause known to be normalized already.
@@ -155,21 +161,16 @@ class CNF:
         their clause-emission cost.
         """
         self._lits.extend(literals)
-        self._ends.append(len(self._lits))
+        self._lits.append(0)
+        self._count += 1
 
-    def add_clauses_trusted_flat(
-        self, literals: Sequence[int], lengths: Sequence[int]
-    ) -> None:
+    def add_clauses_trusted_flat(self, literals: list[int]) -> None:
         """Bulk form of :meth:`add_clause_trusted`: ``literals`` holds the
-        clauses back to back, ``lengths`` the literal count of each.  One
-        array-level extend installs every literal; only the clause-boundary
-        bookkeeping runs per clause."""
+        clauses back to back, each followed by a 0 (the storage format).
+        One array-level extend installs every clause and one C-level count
+        of the zeros updates the clause count; nothing runs per clause."""
         self._lits.extend(literals)
-        end = len(self._lits) - len(literals)
-        ends = self._ends
-        for n in lengths:
-            end += n
-            ends.append(end)
+        self._count += literals.count(0)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:
@@ -178,9 +179,8 @@ class CNF:
     def extend(self, other: "CNF") -> None:
         """Append all clauses of ``other`` (variables must already be shared)."""
         self.num_vars = max(self.num_vars, other.num_vars)
-        offset = len(self._lits)
         self._lits.extend(other._lits)
-        self._ends.extend(end + offset for end in other._ends)
+        self._count += other._count
         self.names.update(other.names)
 
     # -- convenience constraint builders ------------------------------------
@@ -211,22 +211,25 @@ class CNF:
 
     @property
     def num_clauses(self) -> int:
-        return len(self._ends)
+        return self._count
 
-    def num_literals(self) -> int:
+    @property
+    def buffer_size(self) -> int:
+        """Length of the literal buffer, terminators included: the offset
+        at which the next clause will start."""
         return len(self._lits)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.clauses)
 
     def __len__(self) -> int:
-        return len(self._ends)
+        return self._count
 
     def copy(self) -> "CNF":
-        """A cheap snapshot: the literal buffers copy at memcpy speed."""
+        """A cheap snapshot: the literal buffer copies at memcpy speed."""
         out = CNF(num_vars=self.num_vars)
         out._lits = self._lits[:]
-        out._ends = self._ends[:]
+        out._count = self._count
         out.names = dict(self.names)
         return out
 

@@ -319,41 +319,48 @@ class IpasirBackend:
         """Add clauses; False once the formula is known unsatisfiable (an
         empty clause, or — for libraries with the bulk extension — any
         root-level contradiction)."""
+        clauses = list(clauses)
+        buffer = array("i", chain.from_iterable(
+            map(add, map(tuple, clauses), repeat((0,)))
+        ))
+        if buffer:
+            self._num_vars = max(self._num_vars, max(buffer), -min(buffer))
+        return self.add_clause_buffer(buffer, len(clauses))
+
+    def add_clause_buffer(self, literals: array, clauses: int) -> bool:
+        """Add ``clauses`` clauses given as one ``array('i')`` of
+        0-terminated clauses — the :class:`CNF` storage format, so
+        :class:`repro.encoding.formula.EncodedTest` hands its unsent tail
+        over with no per-clause Python work.  Libraries with the bulk
+        extension take the buffer in one C call; plain IPASIR libraries
+        get it literal by literal through ``ipasir_add``.
+
+        The caller covers the buffer's variables with :meth:`ensure_vars`
+        first (scanning for them would cost as much as the hand-off).
+        Raises :class:`IpasirError` when the buffer holds a different
+        number of terminators than ``clauses`` (a 0 literal inside a
+        clause) or does not end on one.  Returns False once the formula is
+        known unsatisfiable, as :meth:`add_clauses` does.
+        """
+        if literals.count(0) != clauses or (literals and literals[-1]):
+            raise IpasirError("0 is not a valid literal")
         library = self._library
-        if library.supports_bulk_add:
-            clauses = list(clauses)
-            buffer = array("i", chain.from_iterable(
-                map(add, map(tuple, clauses), repeat((0,)))
-            ))
-            if buffer.count(0) != len(clauses):
-                raise IpasirError("0 is not a valid literal")
-            if buffer:
-                self._num_vars = max(
-                    self._num_vars, max(buffer), -min(buffer)
-                )
-            return library.add_clauses(self._handle, buffer)
-        add_literal = library.add
         handle = self._handle
-        num_vars = self._num_vars
+        if library.supports_bulk_add:
+            return library.add_clauses(handle, literals)
+        add_literal = library.add
         ok = True
-        for clause in clauses:
-            count = 0
-            for lit in clause:
-                if lit == 0:
-                    raise IpasirError("0 is not a valid literal")
-                var = lit if lit > 0 else -lit
-                if var > num_vars:
-                    num_vars = var
-                add_literal(handle, lit)
-                count += 1
-            add_literal(handle, 0)
-            ok = ok and count > 0
-        self._num_vars = num_vars
+        previous = 0
+        for lit in literals:
+            if not (lit or previous):
+                ok = False  # an empty clause
+            add_literal(handle, lit)
+            previous = lit
         return ok
 
     def add_cnf(self, cnf: CNF) -> None:
         self.ensure_vars(cnf.num_vars)
-        self.add_clauses(cnf.clauses)
+        self.add_clause_buffer(cnf.literals_since(0), cnf.num_clauses)
 
     def freeze(self, variables: Iterable[int]) -> None:
         """No-op: IPASIR solvers manage frozen/melted state internally

@@ -324,6 +324,15 @@ class TestCounterexampleDecoding:
             )
 
 
+def _fully_synced(encoded) -> bool:
+    """The backend holds every clause: the sync cursor (a buffer offset
+    and the clause count up to it) sits at the end of the CNF."""
+    cnf = encoded.cnf
+    return (encoded._synced_literals, encoded._synced_clauses) == (
+        cnf.buffer_size, cnf.num_clauses
+    )
+
+
 class TestSolveSyncRegression:
     """EncodedTest.solve must never hand the backend an assumption literal
     whose defining clauses have not been synced (the assumption handles are
@@ -346,7 +355,7 @@ class TestSolveSyncRegression:
         contradiction = circuit.and_(both, -handles[0])
         assert encoded.solve(assumptions=[contradiction]) is False
         # Every clause the lowering produced is in the backend.
-        assert encoded._synced_clauses == len(encoded.cnf.clauses)
+        assert _fully_synced(encoded)
         # The formula itself is untouched by the failed assumption.
         assert encoded.solve() is True
 
@@ -356,7 +365,7 @@ class TestSolveSyncRegression:
         original = encoded.ctx.lowering.literal
 
         def recording_literal(handle):
-            observed.append(encoded._synced_clauses == len(encoded.cnf.clauses))
+            observed.append(_fully_synced(encoded))
             return original(handle)
 
         monkeypatch.setattr(encoded.ctx.lowering, "literal", recording_literal)
@@ -366,4 +375,4 @@ class TestSolveSyncRegression:
         # The first lowering call ran against a fully synced backend...
         assert observed and observed[0] is True
         # ...and whatever it appended was synced again before solving.
-        assert encoded._synced_clauses == len(encoded.cnf.clauses)
+        assert _fully_synced(encoded)

@@ -131,3 +131,31 @@ def test_statistics_are_populated(synthesis_results):
         payload = result.as_dict()
         assert payload["stats"]["solves"] == stats.solves
         assert [f["label"] for f in payload["fences"]] == result.labels
+
+
+def test_snark_relaxed_repair_is_pinned():
+    """snark-unfenced/D0 on relaxed, the largest catalog search (108
+    candidates): the exact search runs out of budget before proving
+    optimality, so the set is only 1-minimal.  The canonicalization pass
+    settles most of its swap trials from recorded correction sets instead
+    of solving them (398 solves when every trial was solved)."""
+    session = CheckSession(get_implementation("snark-unfenced"), CheckOptions())
+    result = session.synthesize(get_test("deque", "D0"), ["relaxed"])
+    assert result.feasible and not result.already_passes
+    assert result.labels == [
+        "add_left@1:load-load",
+        "add_left@2:store-load",
+        "add_right@1:load-load",
+        "add_right@2:store-load",
+        "remove_left@2:load-load",
+        "remove_right@2:load-load",
+    ]
+    assert result.cost == 8
+    assert result.optimal is False
+    assert result.verified_sufficient
+    assert result.verified_minimal
+    assert result.stats.canonical_solves <= 150
+    assert result.stats.entailed_trials > 0
+    assert result.as_dict()["stats"]["entailed_trials"] == (
+        result.stats.entailed_trials
+    )
